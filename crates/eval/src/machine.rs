@@ -1,6 +1,6 @@
 //! The machine proper.
 
-use crate::code::{CodeEntry, CodeId, CodeTable};
+use crate::code::{Code, Inst, Kind, Node, Program, RegionBinder, ScopeId, Site, Slot};
 use crate::decode::RunValue;
 use rml_core::terms::Term;
 use rml_core::vars::RegVar;
@@ -12,61 +12,25 @@ use std::cell::Cell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
-/// A linked environment node (values live in `Cell`s so the collector can
-/// update them in place).
-struct EnvNode {
-    name: Symbol,
-    val: Cell<u64>,
-    next: Env,
+/// One activation's frame (see [`crate::code`] for the layout). Slots
+/// are `Cell`s so the collector can update value slots in place; region
+/// slots hold a [`RegionId`].
+type Act = Rc<[Cell<u64>]>;
+
+/// What a slot holds before its binder is evaluated: a non-pointer word
+/// the collector never follows, and the marker of a region parameter a
+/// closure has not been instantiated for.
+const UNBOUND: u64 = u64::MAX;
+
+fn frame(slots: usize) -> Act {
+    (0..slots).map(|_| Cell::new(UNBOUND)).collect()
 }
 
-type Env = Option<Rc<EnvNode>>;
-
-fn env_bind(env: &Env, name: Symbol, val: Word) -> Env {
-    Some(Rc::new(EnvNode {
-        name,
-        val: Cell::new(val.0),
-        next: env.clone(),
-    }))
-}
-
-fn env_lookup(env: &Env, name: Symbol) -> Option<Word> {
-    let mut cur = env;
-    while let Some(n) = cur {
-        if n.name == name {
-            return Some(Word(n.val.get()));
-        }
-        cur = &n.next;
-    }
-    None
-}
-
-/// Region environment (no collector interaction).
-struct REnvNode {
-    var: RegVar,
-    region: RegionId,
-    next: REnv,
-}
-
-type REnv = Option<Rc<REnvNode>>;
-
-fn renv_bind(renv: &REnv, var: RegVar, region: RegionId) -> REnv {
-    Some(Rc::new(REnvNode {
-        var,
-        region,
-        next: renv.clone(),
-    }))
-}
-
-fn renv_lookup(renv: &REnv, var: RegVar) -> Option<RegionId> {
-    let mut cur = renv;
-    while let Some(n) = cur {
-        if n.var == var {
-            return Some(n.region);
-        }
-        cur = &n.next;
-    }
-    None
+/// Writes a binder's slot. Each binder has its own slot and is evaluated
+/// at most once per activation, so a slot is written at most once.
+fn bind(act: &Act, slot: Slot, w: u64) {
+    debug_assert_eq!(act[slot].get(), UNBOUND, "slot {slot} bound twice");
+    act[slot].set(w);
 }
 
 /// A deterministic adversarial collection schedule (the torture rig).
@@ -329,120 +293,126 @@ pub struct RunOutcome {
     pub pauses: Vec<GcPause>,
 }
 
+/// Continuation frames. Frames with a `scope` hold the creating node's
+/// environment: the collector reads the slots of `act` along that scope
+/// chain. `act` without a `scope` only resolves regions.
 enum Frame<'a> {
     AppArg {
-        arg: &'a Term,
-        env: Env,
-        renv: REnv,
+        arg: &'a Node,
         /// For the fused `(f [S]) arg` form: the instantiation, resolved
-        /// against the *caller's* region environment at call time, so no
-        /// specialised closure is allocated per call.
-        inst: Option<&'a rml_core::Subst>,
+        /// against the *caller's* frame at call time, so no specialised
+        /// closure is allocated per call.
+        inst: Option<&'a Inst>,
+        act: Act,
+        scope: ScopeId,
     },
     AppCall {
         clos: Cell<u64>,
-        inst: Option<&'a rml_core::Subst>,
-        renv: REnv,
+        inst: Option<&'a Inst>,
+        act: Act,
     },
     RApp {
-        inst: &'a rml_core::Subst,
-        at: RegVar,
-        renv: REnv,
+        inst: &'a Inst,
+        at: Slot,
+        act: Act,
     },
     LetBody {
-        x: Symbol,
-        body: &'a Term,
-        env: Env,
-        renv: REnv,
+        slot: Slot,
+        body: &'a Node,
+        act: Act,
+        scope: ScopeId,
     },
     PairSnd {
-        snd: &'a Term,
-        env: Env,
-        renv: REnv,
-        at: RegVar,
+        snd: &'a Node,
+        at: Slot,
+        act: Act,
+        scope: ScopeId,
     },
     PairMk {
         fst: Cell<u64>,
-        at: RegVar,
-        renv: REnv,
+        at: Slot,
+        act: Act,
     },
-    Sel(u8),
+    Sel(usize),
     IfBranch {
-        t: &'a Term,
-        f: &'a Term,
-        env: Env,
-        renv: REnv,
+        t: &'a Node,
+        f: &'a Node,
+        act: Act,
+        scope: ScopeId,
     },
+    /// A primitive awaiting an argument: `snd` is the second argument
+    /// still to evaluate, `fst` the first one's value once it has one.
     Prim {
         op: PrimOp,
-        at: Option<RegVar>,
-        renv: REnv,
-        env: Env,
-        done: Vec<Cell<u64>>,
-        rest: Vec<&'a Term>, // reversed: next arg = rest.pop()
+        fst: Option<Cell<u64>>,
+        snd: Option<&'a Node>,
+        at: Option<Slot>,
+        act: Act,
+        scope: ScopeId,
     },
     ConsTail {
-        tail: &'a Term,
-        env: Env,
-        renv: REnv,
-        at: RegVar,
+        tail: &'a Node,
+        at: Slot,
+        act: Act,
+        scope: ScopeId,
     },
     ConsMk {
         head: Cell<u64>,
-        at: RegVar,
-        renv: REnv,
+        at: Slot,
+        act: Act,
     },
     Case {
-        nil_rhs: &'a Term,
-        head: Symbol,
-        tail: Symbol,
-        cons_rhs: &'a Term,
-        env: Env,
-        renv: REnv,
+        nil_rhs: &'a Node,
+        head: Slot,
+        tail: Slot,
+        cons_rhs: &'a Node,
+        act: Act,
+        scope: ScopeId,
     },
     RefMk {
-        at: RegVar,
-        renv: REnv,
+        at: Slot,
+        act: Act,
     },
     Deref,
     AssignRhs {
-        rhs: &'a Term,
-        env: Env,
-        renv: REnv,
+        rhs: &'a Node,
+        act: Act,
+        scope: ScopeId,
     },
     AssignDo {
         target: Cell<u64>,
     },
     PopRegions {
-        regions: Vec<RegionId>,
+        binders: &'a [RegionBinder],
+        act: Act,
     },
     ExnMk {
         name: Symbol,
-        at: RegVar,
-        renv: REnv,
+        at: Slot,
+        act: Act,
     },
     RaiseDo,
     Handle {
         exn: Symbol,
-        arg: Symbol,
-        handler: &'a Term,
-        env: Env,
-        renv: REnv,
+        arg: Slot,
+        handler: &'a Node,
+        act: Act,
+        scope: ScopeId,
     },
 }
 
 enum Ctrl<'a> {
-    Eval(&'a Term, Env, REnv),
+    Eval(&'a Node, Act),
     Ret(Cell<u64>),
 }
 
 struct Machine<'a> {
     heap: Heap,
-    code: CodeTable<'a>,
+    prog: &'a Program,
     kont: Vec<Frame<'a>>,
     output: String,
     steps: u64,
-    opts: RunOpts,
+    opts: &'a RunOpts,
     global_region: RegionId,
     gc_pending: bool,
     collections_since_major: u32,
@@ -452,6 +422,10 @@ struct Machine<'a> {
     /// Allocation count at the last stress check (for the
     /// collect-after-every-allocation trigger).
     last_alloc_objects: u64,
+    /// Bytes allocated when the GC heuristic last said no.
+    last_alloc_bytes: u64,
+    /// Reused buffer for closure payloads.
+    payload: Vec<u64>,
 }
 
 type MResult<T> = Result<T, RunError>;
@@ -461,9 +435,10 @@ type MResult<T> = Result<T, RunError>;
 /// # Errors
 ///
 /// See [`RunError`]; in particular [`RunError::Dangling`] reports a
-/// dangling pointer met by the mutator or the collector.
+/// dangling pointer met by the mutator or the collector, and
+/// [`RunError::Stuck`] an ill-formed term, rejected before the first step.
 pub fn run(term: &Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
-    let code = CodeTable::build(term);
+    let prog = crate::code::lower(term, opts)?;
     let mut heap = Heap::new();
     heap.generational = opts.gc.generational();
     let global_region = heap.create_region(RegionKind::Infinite);
@@ -471,30 +446,35 @@ pub fn run(term: &Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
         GcPolicy::Stress(s) => s.seed,
         _ => 0,
     };
+    // The top-level frame: the global region, then the program's residual
+    // free region variables (e.g. regions of the final result value),
+    // which live for the whole run like the global region.
+    let act = frame(prog.slots);
+    bind(&act, 0, global_region.0 as u64);
+    for slot in 1..=prog.free {
+        bind(
+            &act,
+            slot,
+            heap.create_region(RegionKind::Infinite).0 as u64,
+        );
+    }
     let mut m = Machine {
         heap,
-        code,
+        prog: &prog,
         kont: Vec::new(),
         output: String::new(),
         steps: 0,
-        opts: opts.clone(),
+        opts,
         global_region,
         gc_pending: false,
         collections_since_major: 0,
         rng: rml_runtime::Xorshift64::new(seed),
         last_alloc_objects: 0,
+        last_alloc_bytes: u64::MAX,
+        payload: Vec::new(),
     };
-    let mut renv = renv_bind(&None, opts.global, global_region);
-    // Residual free region variables of the program (e.g. regions of the
-    // final result value) live for the whole run, like the global region.
-    let mut free = std::collections::BTreeSet::new();
-    crate::code::free_rvars(term, &mut vec![opts.global], &mut free);
-    for rv in free {
-        let r = m.heap.create_region(RegionKind::Infinite);
-        renv = renv_bind(&renv, rv, r);
-    }
     let run_span = trace::span("machine.run", "eval");
-    let value = m.run_loop(term, renv)?;
+    let value = m.run_loop(&prog.body, act)?;
     drop(run_span);
     let value = crate::decode::decode(&m.heap, value);
     Ok(RunOutcome {
@@ -507,12 +487,37 @@ pub fn run(term: &Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
 }
 
 impl<'a> Machine<'a> {
-    fn region(&self, renv: &REnv, rv: RegVar) -> MResult<RegionId> {
+    /// The region in a region slot (the global region, in baseline mode).
+    fn region(&self, act: &Act, slot: Slot) -> RegionId {
         if self.opts.baseline {
-            return Ok(self.global_region);
+            return self.global_region;
         }
-        renv_lookup(renv, rv)
-            .ok_or_else(|| RunError::Stuck(format!("unbound region variable {rv}")))
+        RegionId(act[slot].get() as u32)
+    }
+
+    /// The region to allocate into at a region slot. Region inference
+    /// never lets a program allocate into a region after its `letregion`
+    /// ends; an ill-formed program that tries gets a dangling-region error.
+    fn alloc_region(&self, act: &Act, slot: Slot) -> MResult<RegionId> {
+        let r = self.region(act, slot);
+        if u64::from(r.0) < self.heap.stats.regions_created && self.heap.region_live(r) {
+            return Ok(r);
+        }
+        Err(RunError::Dangling(format!(
+            "allocation into deallocated region {} at step {}",
+            r.0, self.steps
+        )))
+    }
+
+    /// The caller's region instantiating the callee's region parameter.
+    fn inst_region(&self, inst: &Inst, rv: RegVar, act: &Act) -> MResult<RegionId> {
+        match inst.get(rv) {
+            Some(slot) => Ok(self.region(act, slot)),
+            None if self.opts.baseline => Ok(self.global_region),
+            None => Err(RunError::Stuck(format!(
+                "region parameter {rv} is not instantiated"
+            ))),
+        }
     }
 
     fn dangling<T>(&self, e: rml_runtime::heap::DanglingAccess) -> MResult<T> {
@@ -525,8 +530,8 @@ impl<'a> Machine<'a> {
         self.heap.field(w, i, ctx).or_else(|e| self.dangling(e))
     }
 
-    fn run_loop(&mut self, term: &'a Term, renv: REnv) -> MResult<Word> {
-        let mut ctrl = Ctrl::Eval(term, None, renv);
+    fn run_loop(&mut self, body: &'a Node, act: Act) -> MResult<Word> {
+        let mut ctrl = Ctrl::Eval(body, act);
         loop {
             self.steps += 1;
             if self.steps > self.opts.fuel {
@@ -540,7 +545,7 @@ impl<'a> Machine<'a> {
             self.check_faults()?;
             self.maybe_collect(&ctrl)?;
             ctrl = match ctrl {
-                Ctrl::Eval(e, env, renv) => self.eval(e, env, renv)?,
+                Ctrl::Eval(e, act) => self.eval(e, act)?,
                 Ctrl::Ret(w) => match self.kont.pop() {
                     None => return Ok(Word(w.get())),
                     Some(frame) => self.apply(frame, Word(w.get()))?,
@@ -585,7 +590,13 @@ impl<'a> Machine<'a> {
                 generational,
             } => {
                 let forced = self.gc_pending;
-                if !forced && !self.heap.should_collect(min_bytes, ratio) {
+                // The heuristic only changes its answer after an allocation.
+                let allocated = self.heap.stats.bytes_allocated;
+                if !forced
+                    && (allocated == self.last_alloc_bytes
+                        || !self.heap.should_collect(min_bytes, ratio))
+                {
+                    self.last_alloc_bytes = allocated;
                     return None;
                 }
                 let minor = generational && self.collections_since_major < 4;
@@ -613,51 +624,58 @@ impl<'a> Machine<'a> {
     }
 
     /// Gathers the machine's root set: the control value, frame cells,
-    /// and environment chains. The returned cells stay valid while `ctrl`
+    /// and the value slots in view of every environment the control and
+    /// the continuation hold. The returned cells stay valid while `ctrl`
     /// and `self.kont` are untouched.
     fn gather_roots(&self, ctrl: &Ctrl<'a>) -> Vec<*const Cell<u64>> {
         let mut cells: Vec<*const Cell<u64>> = Vec::new();
-        let mut visited: HashSet<*const EnvNode> = HashSet::new();
-        let mut envs: Vec<&Env> = Vec::new();
-        if let Ctrl::Ret(w) = ctrl {
-            cells.push(w as *const Cell<u64>);
-        }
-        if let Ctrl::Eval(_, env, _) = ctrl {
-            envs.push(env);
+        let mut envs: Vec<(&Act, ScopeId)> = Vec::new();
+        match ctrl {
+            Ctrl::Ret(w) => cells.push(w),
+            Ctrl::Eval(e, act) => envs.push((act, e.scope)),
         }
         for f in &self.kont {
             match f {
-                Frame::AppArg { env, .. }
-                | Frame::LetBody { env, .. }
-                | Frame::PairSnd { env, .. }
-                | Frame::IfBranch { env, .. }
-                | Frame::ConsTail { env, .. }
-                | Frame::Case { env, .. }
-                | Frame::AssignRhs { env, .. }
-                | Frame::Handle { env, .. } => envs.push(env),
-                Frame::AppCall { clos, .. } => cells.push(clos as *const _),
-                Frame::PairMk { fst, .. } => cells.push(fst as *const _),
-                Frame::ConsMk { head, .. } => cells.push(head as *const _),
-                Frame::AssignDo { target } => cells.push(target as *const _),
-                Frame::Prim { done, env, .. } => {
-                    envs.push(env);
-                    for c in done {
-                        cells.push(c as *const _);
-                    }
+                Frame::AppArg { act, scope, .. }
+                | Frame::LetBody { act, scope, .. }
+                | Frame::PairSnd { act, scope, .. }
+                | Frame::IfBranch { act, scope, .. }
+                | Frame::ConsTail { act, scope, .. }
+                | Frame::Case { act, scope, .. }
+                | Frame::AssignRhs { act, scope, .. }
+                | Frame::Handle { act, scope, .. } => envs.push((act, *scope)),
+                Frame::AppCall { clos, .. } => cells.push(clos),
+                Frame::PairMk { fst, .. } => cells.push(fst),
+                Frame::ConsMk { head, .. } => cells.push(head),
+                Frame::AssignDo { target } => cells.push(target),
+                Frame::Prim {
+                    fst, act, scope, ..
+                } => {
+                    cells.extend(fst.as_ref().map(|c| c as *const _));
+                    envs.push((act, *scope));
                 }
                 _ => {}
             }
         }
-        for env in envs {
-            let mut cur = env;
-            while let Some(n) = cur {
-                if visited.insert(Rc::as_ptr(n)) {
-                    cells.push(&n.val as *const _);
-                    cur = &n.next;
-                } else {
-                    break;
-                }
+        // Each scope chain is walked newest binder first. The frames of one
+        // activation sit on one path through its body, so each scope
+        // extends the one before it in the same frame, and the walk stops
+        // where that one begins. Should a chain ever not extend its
+        // predecessor, the walk runs to the root and lists some slots
+        // twice, which the collector tolerates.
+        let mut last: Option<(*const Cell<u64>, ScopeId)> = None;
+        for (act, scope) in envs {
+            let stop = match last {
+                Some((p, s)) if p == act.as_ptr() => s,
+                _ => crate::code::EMPTY_SCOPE,
+            };
+            let mut s = scope;
+            while s != crate::code::EMPTY_SCOPE && s != stop {
+                let (slot, parent) = self.prog.scopes[s];
+                cells.push(&act[slot]);
+                s = parent;
             }
+            last = Some((act.as_ptr(), scope));
         }
         cells
     }
@@ -696,6 +714,13 @@ impl<'a> Machine<'a> {
             }
         }
         if verify_now {
+            // Every binder in view has been evaluated, so its slot is bound.
+            if roots.iter().any(|w| w.0 == UNBOUND) {
+                return Err(RunError::Invariant(format!(
+                    "unbound frame slot in view at step {}",
+                    self.steps
+                )));
+            }
             match self.heap.verify(&roots) {
                 Ok(_) => {}
                 // A dangling reachable pointer found by the verifier is
@@ -713,349 +738,261 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    fn eval(&mut self, e: &'a Term, env: Env, renv: REnv) -> MResult<Ctrl<'a>> {
+    fn eval(&mut self, e: &'a Node, act: Act) -> MResult<Ctrl<'a>> {
         let ret = |w: Word| Ok(Ctrl::Ret(Cell::new(w.0)));
-        match e {
-            Term::Unit => ret(Word::UNIT),
-            Term::Int(n) => ret(Word::int(*n)),
-            Term::Bool(b) => ret(Word::bool(*b)),
-            Term::Nil(_) => ret(Word::NIL),
-            Term::Var(x) => match env_lookup(&env, *x) {
-                Some(w) => ret(w),
-                None => Err(RunError::Stuck(format!("unbound variable `{x}`"))),
-            },
-            Term::Val(_) => Err(RunError::Stuck(
-                "embedded values only occur in the formal semantics".into(),
-            )),
-            Term::Str(s, at) => {
-                let r = self.region(&renv, *at)?;
-                ret(self.heap.alloc_str(r, s))
+        let scope = e.scope;
+        let frame = match &e.kind {
+            Kind::Unit => return ret(Word::UNIT),
+            Kind::Int(n) => return ret(Word::int(*n)),
+            Kind::Bool(b) => return ret(Word::bool(*b)),
+            Kind::Nil => return ret(Word::NIL),
+            Kind::Var(x) => return ret(Word(act[*x].get())),
+            Kind::Str(s, at) => {
+                let r = self.alloc_region(&act, *at)?;
+                return ret(self.heap.alloc_str(r, s));
             }
-            Term::Lam { at, .. } => {
-                let id = self.code.lam_ids[&(e as *const Term as usize)];
-                let w = self.make_closure(id, &env, &renv, *at, None)?;
-                ret(w)
-            }
-            Term::Fix { defs, ats, index } => {
-                let key = Rc::as_ptr(defs) as usize;
-                let members = self.code.fix_ids[&key].clone();
+            Kind::Lam(site) => return ret(self.make_closure(site, &act, 0)?),
+            Kind::Fix { sites, index } => {
                 // Allocate the whole group, then patch sibling slots.
-                let mut words = Vec::new();
-                for (i, id) in members.iter().enumerate() {
-                    let w = self.make_closure(*id, &env, &renv, ats[i], Some(members.len()))?;
-                    words.push(w);
+                let n = sites.len();
+                let mut words = Vec::with_capacity(n);
+                for site in sites.iter() {
+                    words.push(self.make_closure(site, &act, n)?);
                 }
-                for (i, w) in words.iter().enumerate() {
-                    let raw = self.raw_len(members[i]);
+                for (site, w) in sites.iter().zip(&words) {
+                    let raw = self.prog.codes[site.code].raw();
                     for (j, sw) in words.iter().enumerate() {
                         self.heap
                             .set_field(*w, raw + j, *sw, "fix patch")
                             .or_else(|e| self.dangling(e))?;
                     }
                 }
-                ret(words[*index])
+                return ret(words[*index]);
             }
-            Term::App(f, a) => {
-                // Fuse `(f [S]) arg`: pass the region instantiation at the
-                // call instead of allocating a specialised closure (the
-                // MLKit passes region arguments in registers).
-                if let Term::RApp { f: inner, inst, .. } = f.as_ref() {
-                    self.kont.push(Frame::AppArg {
-                        arg: a,
-                        env: env.clone(),
-                        renv: renv.clone(),
-                        inst: Some(inst),
-                    });
-                    return Ok(Ctrl::Eval(inner, env, renv));
-                }
-                self.kont.push(Frame::AppArg {
+            Kind::App(f, a, inst) => {
+                let frame = Frame::AppArg {
                     arg: a,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                    inst: None,
-                });
-                Ok(Ctrl::Eval(f, env, renv))
+                    inst: inst.as_ref(),
+                    act: act.clone(),
+                    scope,
+                };
+                (frame, &**f)
             }
-            Term::RApp { f, inst, at } => {
-                self.kont.push(Frame::RApp {
+            Kind::RApp(f, inst, at) => {
+                let frame = Frame::RApp {
                     inst,
                     at: *at,
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(f, env, renv))
+                    act: act.clone(),
+                };
+                (frame, &**f)
             }
-            Term::Let { x, rhs, body } => {
-                self.kont.push(Frame::LetBody {
-                    x: *x,
+            Kind::Let(slot, rhs, body) => {
+                let frame = Frame::LetBody {
+                    slot: *slot,
                     body,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(rhs, env, renv))
+                    act: act.clone(),
+                    scope,
+                };
+                (frame, &**rhs)
             }
-            Term::Letregion { rvars, body, .. } => {
+            Kind::Letregion(binders, body) => {
                 if self.opts.baseline {
-                    return Ok(Ctrl::Eval(body, env, renv));
+                    return Ok(Ctrl::Eval(body, act));
                 }
-                let mut renv2 = renv;
-                let mut regions = Vec::new();
-                for rv in rvars {
-                    let kind = if self.opts.finite.contains(rv) {
-                        RegionKind::Finite
-                    } else {
-                        RegionKind::Infinite
-                    };
-                    let uniform = self.opts.uniform.get(rv).copied();
-                    let r = self.heap.create_region_uniform(kind, uniform);
-                    if let Some(b) = self.opts.finite_bounds.get(rv) {
-                        self.heap.set_region_bound(r, *b);
+                for b in binders.iter() {
+                    let r = self.heap.create_region_uniform(b.kind, b.uniform);
+                    if let Some(bound) = b.bound {
+                        self.heap.set_region_bound(r, bound);
                     }
-                    regions.push(r);
-                    renv2 = renv_bind(&renv2, *rv, r);
+                    bind(&act, b.slot, r.0 as u64);
                 }
                 if trace::enabled() {
                     trace::instant(
                         "letregion.enter",
                         "eval",
-                        &[("regions", regions.len() as f64)],
+                        &[("regions", binders.len() as f64)],
                     );
                 }
-                self.kont.push(Frame::PopRegions { regions });
-                Ok(Ctrl::Eval(body, env, renv2))
+                let frame = Frame::PopRegions {
+                    binders,
+                    act: act.clone(),
+                };
+                (frame, &**body)
             }
-            Term::Pair(a, b, at) => {
-                self.kont.push(Frame::PairSnd {
+            Kind::Pair(a, b, at) => {
+                let frame = Frame::PairSnd {
                     snd: b,
-                    env: env.clone(),
-                    renv: renv.clone(),
                     at: *at,
-                });
-                Ok(Ctrl::Eval(a, env, renv))
+                    act: act.clone(),
+                    scope,
+                };
+                (frame, &**a)
             }
-            Term::Sel(i, a) => {
-                self.kont.push(Frame::Sel(*i));
-                Ok(Ctrl::Eval(a, env, renv))
-            }
-            Term::If(c, t, f) => {
-                self.kont.push(Frame::IfBranch {
+            Kind::Sel(i, a) => (Frame::Sel(*i), &**a),
+            Kind::If(c, t, f) => {
+                let frame = Frame::IfBranch {
                     t,
                     f,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(c, env, renv))
+                    act: act.clone(),
+                    scope,
+                };
+                (frame, &**c)
             }
-            Term::Prim(op, args, at) => {
-                let mut rest: Vec<&'a Term> = args.iter().collect();
-                rest.reverse();
-                match rest.pop() {
-                    None => {
-                        let w = self.apply_prim(*op, &[], *at, &renv)?;
-                        ret(w)
-                    }
-                    Some(first) => {
-                        self.kont.push(Frame::Prim {
-                            op: *op,
-                            at: *at,
-                            renv: renv.clone(),
-                            env: env.clone(),
-                            done: Vec::new(),
-                            rest,
-                        });
-                        Ok(Ctrl::Eval(first, env, renv))
-                    }
-                }
-            }
-            Term::Cons(h, t, at) => {
-                self.kont.push(Frame::ConsTail {
-                    tail: t,
-                    env: env.clone(),
-                    renv: renv.clone(),
+            Kind::Prim(op, a, b, at) => {
+                let frame = Frame::Prim {
+                    op: *op,
+                    fst: None,
+                    snd: b.as_deref(),
                     at: *at,
-                });
-                Ok(Ctrl::Eval(h, env, renv))
+                    act: act.clone(),
+                    scope,
+                };
+                (frame, &**a)
             }
-            Term::CaseList {
+            Kind::Cons(h, t, at) => {
+                let frame = Frame::ConsTail {
+                    tail: t,
+                    at: *at,
+                    act: act.clone(),
+                    scope,
+                };
+                (frame, &**h)
+            }
+            Kind::Case {
                 scrut,
                 nil_rhs,
                 head,
                 tail,
                 cons_rhs,
             } => {
-                self.kont.push(Frame::Case {
+                let frame = Frame::Case {
                     nil_rhs,
                     head: *head,
                     tail: *tail,
                     cons_rhs,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(scrut, env, renv))
+                    act: act.clone(),
+                    scope,
+                };
+                (frame, &**scrut)
             }
-            Term::RefNew(a, at) => {
-                self.kont.push(Frame::RefMk {
+            Kind::RefNew(a, at) => {
+                let frame = Frame::RefMk {
                     at: *at,
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(a, env, renv))
+                    act: act.clone(),
+                };
+                (frame, &**a)
             }
-            Term::Deref(a) => {
-                self.kont.push(Frame::Deref);
-                Ok(Ctrl::Eval(a, env, renv))
-            }
-            Term::Assign(r, v) => {
-                self.kont.push(Frame::AssignRhs {
+            Kind::Deref(a) => (Frame::Deref, &**a),
+            Kind::Assign(r, v) => {
+                let frame = Frame::AssignRhs {
                     rhs: v,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(r, env, renv))
+                    act: act.clone(),
+                    scope,
+                };
+                (frame, &**r)
             }
-            Term::Exn { name, arg, at } => match arg {
+            Kind::Exn { name, arg, at } => match arg {
                 None => {
-                    let r = self.region(&renv, *at)?;
+                    let r = self.alloc_region(&act, *at)?;
                     let w = self
                         .heap
                         .alloc(r, ObjKind::Exn, 2, &[name.index() as u64, 0]);
-                    ret(w)
+                    return ret(w);
                 }
                 Some(a) => {
-                    self.kont.push(Frame::ExnMk {
+                    let frame = Frame::ExnMk {
                         name: *name,
                         at: *at,
-                        renv: renv.clone(),
-                    });
-                    Ok(Ctrl::Eval(a, env, renv))
+                        act: act.clone(),
+                    };
+                    (frame, &**a)
                 }
             },
-            Term::Raise(a, _) => {
-                self.kont.push(Frame::RaiseDo);
-                Ok(Ctrl::Eval(a, env, renv))
-            }
-            Term::Handle {
+            Kind::Raise(a) => (Frame::RaiseDo, &**a),
+            Kind::Handle {
                 body,
                 exn,
                 arg,
                 handler,
             } => {
-                self.kont.push(Frame::Handle {
+                let frame = Frame::Handle {
                     exn: *exn,
                     arg: *arg,
                     handler,
-                    env: env.clone(),
-                    renv: renv.clone(),
-                });
-                Ok(Ctrl::Eval(body, env, renv))
+                    act: act.clone(),
+                    scope,
+                };
+                (frame, &**body)
             }
-        }
+        };
+        self.kont.push(frame.0);
+        Ok(Ctrl::Eval(frame.1, act))
     }
 
-    /// Number of raw payload words of a closure for `id` (code id, region
-    /// slots).
-    fn raw_len(&self, id: CodeId) -> usize {
-        let e = &self.code.entries[id];
-        1 + e.rparams.len() + e.frvs.len()
+    /// Allocates a closure at `site` from frame `act`:
+    /// `[code id][rparam slots (unbound)][frv slots][siblings…][captures…]`.
+    /// `group` sibling slots are left as `()` for the caller to patch.
+    fn make_closure(&mut self, site: &Site, act: &Act, group: usize) -> MResult<Word> {
+        let code = &self.prog.codes[site.code];
+        let mut payload = std::mem::take(&mut self.payload);
+        payload.clear();
+        payload.push(site.code as u64);
+        payload.extend(std::iter::repeat_n(UNBOUND, code.rparams.len()));
+        payload.extend(site.rcaps.iter().map(|s| self.region(act, *s).0 as u64));
+        payload.extend(std::iter::repeat_n(Word::UNIT.0, group));
+        payload.extend(site.caps.iter().map(|s| act[*s].get()));
+        let r = self.alloc_region(act, site.at)?;
+        let w = self
+            .heap
+            .alloc(r, ObjKind::Closure, code.raw() as u16, &payload);
+        self.payload = payload;
+        Ok(w)
     }
 
-    /// Allocates a closure for code `id` at region variable `at`:
-    /// `[code_id][rparam slots (sentinel)][frv slots][siblings…][captures…]`.
-    fn make_closure(
-        &mut self,
-        id: CodeId,
-        env: &Env,
-        renv: &REnv,
-        at: RegVar,
-        group_size: Option<usize>,
-    ) -> MResult<Word> {
-        let entry = &self.code.entries[id];
-        let mut payload: Vec<u64> =
-            Vec::with_capacity(1 + entry.rparams.len() + entry.frvs.len() + entry.fvs.len());
-        payload.push(id as u64);
-        for _ in &entry.rparams {
-            payload.push(u64::MAX); // filled at region application
-        }
-        let frvs = entry.frvs.clone();
-        let fvs = entry.fvs.clone();
-        let raw = (1 + entry.rparams.len() + entry.frvs.len()) as u16;
-        for rv in &frvs {
-            let r = self.region(renv, *rv)?;
-            payload.push(r.0 as u64);
-        }
-        for _ in 0..group_size.unwrap_or(0) {
-            payload.push(Word::UNIT.0); // sibling slots, patched after
-        }
-        for v in &fvs {
-            let w = env_lookup(env, *v)
-                .ok_or_else(|| RunError::Stuck(format!("unbound capture `{v}`")))?;
-            payload.push(w.0);
-        }
-        let r = self.region(renv, at)?;
-        Ok(self.heap.alloc(r, ObjKind::Closure, raw, &payload))
-    }
-
-    /// Enters a closure with an argument. When `inst` is given (the fused
-    /// `(f [S]) arg` form), the closure's region parameters are resolved
-    /// from the instantiation against `caller_renv` instead of from the
-    /// closure's slots.
+    /// Enters a closure with an argument: one fresh frame, filled from the
+    /// closure's words. When `inst` is given (the fused `(f [S]) arg`
+    /// form), the region parameters are resolved from the instantiation
+    /// against the caller's frame instead of from the closure's slots.
     fn call(
         &mut self,
         clos: Word,
         arg: Word,
-        inst: Option<&'a rml_core::Subst>,
-        caller_renv: &REnv,
+        inst: Option<&'a Inst>,
+        caller: &Act,
     ) -> MResult<Ctrl<'a>> {
+        let prog = self.prog;
         let id = self.field(clos, 0, "call")?.0 as usize;
-        let entry: &CodeEntry<'a> = self
-            .code
-            .entries
+        let code: &'a Code = prog
+            .codes
             .get(id)
             .ok_or_else(|| RunError::Stuck("bad code id".into()))?;
-        let body = entry.body;
-        let param = entry.param;
-        let rparams = entry.rparams.clone();
-        let frvs = entry.frvs.clone();
-        let fvs = entry.fvs.clone();
-        let group = entry.group.clone();
-        let raw = 1 + rparams.len() + frvs.len();
-        // Region bindings.
-        let mut renv: REnv = renv_bind(&None, self.opts.global, self.global_region);
-        for (i, rv) in rparams.iter().enumerate() {
+        let act = frame(code.slots);
+        let global = code.param() + 1;
+        for (i, rv) in code.rparams.iter().enumerate() {
             let region = match inst {
-                Some(s) => {
-                    let target = s.reg.get(rv).copied().unwrap_or(*rv);
-                    self.region(caller_renv, target)?
-                }
+                Some(inst) => self.inst_region(inst, *rv, caller)?.0 as u64,
                 None => {
                     let raw_word = self.field_raw(clos, 1 + i)?;
-                    if raw_word == u64::MAX {
+                    if raw_word == UNBOUND {
                         return Err(RunError::Stuck(format!(
                             "closure applied without region instantiation ({rv})"
                         )));
                     }
-                    RegionId(raw_word as u32)
+                    raw_word
                 }
             };
-            renv = renv_bind(&renv, *rv, region);
+            bind(&act, global + 1 + i, region);
         }
-        for (i, rv) in frvs.iter().enumerate() {
-            let raw_word = self.field_raw(clos, 1 + rparams.len() + i)?;
-            renv = renv_bind(&renv, *rv, RegionId(raw_word as u32));
+        for i in code.rparams.len()..code.rparams.len() + code.nfrvs {
+            bind(&act, global + 1 + i, self.field_raw(clos, 1 + i)?);
         }
-        // Value bindings: siblings then captures then the parameter.
-        let mut env: Env = None;
-        let nsib = group.as_ref().map(|g| g.members.len()).unwrap_or(0);
-        if let Some(g) = &group {
-            for (j, name) in g.names.iter().enumerate() {
-                let w = self.field(clos, raw + j, "sibling")?;
-                env = env_bind(&env, *name, w);
-            }
+        bind(&act, global, self.global_region.0 as u64);
+        // Siblings and captures sit in the frame in closure order.
+        for j in 0..code.param() {
+            bind(&act, j, self.field(clos, code.raw() + j, "capture")?.0);
         }
-        for (i, v) in fvs.iter().enumerate() {
-            let w = self.field(clos, raw + nsib + i, "capture")?;
-            env = env_bind(&env, *v, w);
-        }
-        env = env_bind(&env, param, arg);
-        Ok(Ctrl::Eval(body, env, renv))
+        bind(&act, code.param(), arg.0);
+        Ok(Ctrl::Eval(&code.body, act))
     }
 
     fn field_raw(&self, w: Word, i: usize) -> MResult<u64> {
@@ -1067,39 +1004,29 @@ impl<'a> Machine<'a> {
 
     /// Region application: copy the closure, filling its region-parameter
     /// slots per the instantiation, at the target region.
-    fn rapp(
-        &mut self,
-        clos: Word,
-        inst: &rml_core::Subst,
-        at: RegVar,
-        renv: &REnv,
-    ) -> MResult<Word> {
+    fn rapp(&mut self, clos: Word, inst: &Inst, at: Slot, act: &Act) -> MResult<Word> {
+        let prog = self.prog;
         let id = self.field(clos, 0, "region application")?.0 as usize;
-        let entry = self
-            .code
-            .entries
+        let code = prog
+            .codes
             .get(id)
             .ok_or_else(|| RunError::Stuck("bad code id".into()))?;
-        let rparams = entry.rparams.clone();
-        let frvs_len = entry.frvs.len();
-        let nsib = entry.group.as_ref().map(|g| g.members.len()).unwrap_or(0);
-        let fvs_len = entry.fvs.len();
-        let raw = 1 + rparams.len() + frvs_len;
-        let total = raw + nsib + fvs_len;
-        let mut payload = Vec::with_capacity(total);
+        let mut payload = std::mem::take(&mut self.payload);
+        payload.clear();
         payload.push(id as u64);
-        for rv in &rparams {
-            let target = inst.reg.get(rv).copied().unwrap_or(*rv);
-            // Identity instantiation resolves the variable itself (bound
-            // in the current body's region environment).
-            let r = self.region(renv, target)?;
-            payload.push(r.0 as u64);
+        for rv in code.rparams.iter() {
+            payload.push(self.inst_region(inst, *rv, act)?.0 as u64);
         }
-        for i in 0..frvs_len + nsib + fvs_len {
-            payload.push(self.field_raw(clos, 1 + rparams.len() + i)?);
+        // Captured regions, siblings and captures are copied as they are.
+        for i in 1 + code.rparams.len()..code.raw() + code.param() {
+            payload.push(self.field_raw(clos, i)?);
         }
-        let r = self.region(renv, at)?;
-        Ok(self.heap.alloc(r, ObjKind::Closure, raw as u16, &payload))
+        let r = self.alloc_region(act, at)?;
+        let w = self
+            .heap
+            .alloc(r, ObjKind::Closure, code.raw() as u16, &payload);
+        self.payload = payload;
+        Ok(w)
     }
 
     fn apply(&mut self, frame: Frame<'a>, w: Word) -> MResult<Ctrl<'a>> {
@@ -1107,91 +1034,81 @@ impl<'a> Machine<'a> {
         match frame {
             Frame::AppArg {
                 arg,
-                env,
-                renv,
                 inst,
+                act,
+                scope: _,
             } => {
                 self.kont.push(Frame::AppCall {
                     clos: Cell::new(w.0),
                     inst,
-                    renv: renv.clone(),
+                    act: act.clone(),
                 });
-                Ok(Ctrl::Eval(arg, env, renv))
+                Ok(Ctrl::Eval(arg, act))
             }
-            Frame::AppCall { clos, inst, renv } => self.call(Word(clos.get()), w, inst, &renv),
-            Frame::RApp { inst, at, renv } => {
-                let w2 = self.rapp(w, inst, at, &renv)?;
-                ret(w2)
+            Frame::AppCall { clos, inst, act } => self.call(Word(clos.get()), w, inst, &act),
+            Frame::RApp { inst, at, act } => ret(self.rapp(w, inst, at, &act)?),
+            Frame::LetBody {
+                slot, body, act, ..
+            } => {
+                bind(&act, slot, w.0);
+                Ok(Ctrl::Eval(body, act))
             }
-            Frame::LetBody { x, body, env, renv } => {
-                let env2 = env_bind(&env, x, w);
-                Ok(Ctrl::Eval(body, env2, renv))
-            }
-            Frame::PairSnd { snd, env, renv, at } => {
+            Frame::PairSnd { snd, at, act, .. } => {
                 self.kont.push(Frame::PairMk {
                     fst: Cell::new(w.0),
                     at,
-                    renv: renv.clone(),
+                    act: act.clone(),
                 });
-                Ok(Ctrl::Eval(snd, env, renv))
+                Ok(Ctrl::Eval(snd, act))
             }
-            Frame::PairMk { fst, at, renv } => {
-                let r = self.region(&renv, at)?;
+            Frame::PairMk { fst, at, act } => {
+                let r = self.alloc_region(&act, at)?;
                 ret(self.heap.alloc(r, ObjKind::Pair, 0, &[fst.get(), w.0]))
             }
-            Frame::Sel(i) => {
-                let v = self.field(w, (i - 1) as usize, "projection")?;
-                ret(v)
-            }
-            Frame::IfBranch { t, f, env, renv } => match w.as_bool() {
-                Some(true) => Ok(Ctrl::Eval(t, env, renv)),
-                Some(false) => Ok(Ctrl::Eval(f, env, renv)),
+            Frame::Sel(i) => ret(self.field(w, i, "projection")?),
+            Frame::IfBranch { t, f, act, .. } => match w.as_bool() {
+                Some(true) => Ok(Ctrl::Eval(t, act)),
+                Some(false) => Ok(Ctrl::Eval(f, act)),
                 None => Err(RunError::Stuck("if on non-boolean".into())),
             },
             Frame::Prim {
                 op,
+                fst,
+                snd: Some(snd),
                 at,
-                renv,
-                env,
-                mut done,
-                mut rest,
+                act,
+                scope,
             } => {
-                done.push(Cell::new(w.0));
-                match rest.pop() {
-                    Some(next) => {
-                        let renv2 = renv.clone();
-                        self.kont.push(Frame::Prim {
-                            op,
-                            at,
-                            renv,
-                            env: env.clone(),
-                            done,
-                            rest,
-                        });
-                        Ok(Ctrl::Eval(next, env, renv2))
-                    }
-                    None => {
-                        let args: Vec<Word> = done.iter().map(|c| Word(c.get())).collect();
-                        let out = self.apply_prim(op, &args, at, &renv)?;
-                        ret(out)
-                    }
-                }
+                debug_assert!(fst.is_none());
+                self.kont.push(Frame::Prim {
+                    op,
+                    fst: Some(Cell::new(w.0)),
+                    snd: None,
+                    at,
+                    act: act.clone(),
+                    scope,
+                });
+                Ok(Ctrl::Eval(snd, act))
             }
-            Frame::ConsTail {
-                tail,
-                env,
-                renv,
-                at,
+            Frame::Prim {
+                op, fst, at, act, ..
             } => {
+                let args = match fst {
+                    Some(a) => [Word(a.get()), w],
+                    None => [w, Word::UNIT],
+                };
+                ret(self.apply_prim(op, args, at, &act)?)
+            }
+            Frame::ConsTail { tail, at, act, .. } => {
                 self.kont.push(Frame::ConsMk {
                     head: Cell::new(w.0),
                     at,
-                    renv: renv.clone(),
+                    act: act.clone(),
                 });
-                Ok(Ctrl::Eval(tail, env, renv))
+                Ok(Ctrl::Eval(tail, act))
             }
-            Frame::ConsMk { head, at, renv } => {
-                let r = self.region(&renv, at)?;
+            Frame::ConsMk { head, at, act } => {
+                let r = self.alloc_region(&act, at)?;
                 ret(self.heap.alloc(r, ObjKind::Cons, 0, &[head.get(), w.0]))
             }
             Frame::Case {
@@ -1199,31 +1116,27 @@ impl<'a> Machine<'a> {
                 head,
                 tail,
                 cons_rhs,
-                env,
-                renv,
+                act,
+                ..
             } => {
                 if w == Word::NIL {
-                    Ok(Ctrl::Eval(nil_rhs, env, renv))
+                    Ok(Ctrl::Eval(nil_rhs, act))
                 } else {
-                    let h = self.field(w, 0, "case head")?;
-                    let t = self.field(w, 1, "case tail")?;
-                    let env2 = env_bind(&env_bind(&env, head, h), tail, t);
-                    Ok(Ctrl::Eval(cons_rhs, env2, renv))
+                    bind(&act, head, self.field(w, 0, "case head")?.0);
+                    bind(&act, tail, self.field(w, 1, "case tail")?.0);
+                    Ok(Ctrl::Eval(cons_rhs, act))
                 }
             }
-            Frame::RefMk { at, renv } => {
-                let r = self.region(&renv, at)?;
+            Frame::RefMk { at, act } => {
+                let r = self.alloc_region(&act, at)?;
                 ret(self.heap.alloc(r, ObjKind::Ref, 0, &[w.0]))
             }
-            Frame::Deref => {
-                let v = self.field(w, 0, "dereference")?;
-                ret(v)
-            }
-            Frame::AssignRhs { rhs, env, renv } => {
+            Frame::Deref => ret(self.field(w, 0, "dereference")?),
+            Frame::AssignRhs { rhs, act, .. } => {
                 self.kont.push(Frame::AssignDo {
                     target: Cell::new(w.0),
                 });
-                Ok(Ctrl::Eval(rhs, env, renv))
+                Ok(Ctrl::Eval(rhs, act))
             }
             Frame::AssignDo { target } => {
                 self.heap
@@ -1231,21 +1144,19 @@ impl<'a> Machine<'a> {
                     .or_else(|e| self.dangling(e))?;
                 ret(Word::UNIT)
             }
-            Frame::PopRegions { regions } => {
+            Frame::PopRegions { binders, act } => {
                 if trace::enabled() {
                     trace::instant(
                         "letregion.exit",
                         "eval",
-                        &[("regions", regions.len() as f64)],
+                        &[("regions", binders.len() as f64)],
                     );
                 }
-                for r in regions {
-                    self.heap.drop_region(r);
-                }
+                self.pop_regions(binders, &act);
                 ret(w)
             }
-            Frame::ExnMk { name, at, renv } => {
-                let r = self.region(&renv, at)?;
+            Frame::ExnMk { name, at, act } => {
+                let r = self.alloc_region(&act, at)?;
                 ret(self
                     .heap
                     .alloc(r, ObjKind::Exn, 2, &[name.index() as u64, 0, w.0]))
@@ -1258,23 +1169,26 @@ impl<'a> Machine<'a> {
         }
     }
 
+    fn pop_regions(&mut self, binders: &[RegionBinder], act: &Act) {
+        for b in binders {
+            let r = self.region(act, b.slot);
+            self.heap.drop_region(r);
+        }
+    }
+
     /// Unwinds the continuation with a raised exception value.
     fn unwind(&mut self, exn_val: Word) -> MResult<Ctrl<'a>> {
         let name_idx = self.field_raw(exn_val, 0)? as u32;
         let name = Symbol::from_index(name_idx);
         while let Some(frame) = self.kont.pop() {
             match frame {
-                Frame::PopRegions { regions } => {
-                    for r in regions {
-                        self.heap.drop_region(r);
-                    }
-                }
+                Frame::PopRegions { binders, act } => self.pop_regions(binders, &act),
                 Frame::Handle {
                     exn,
                     arg,
                     handler,
-                    env,
-                    renv,
+                    act,
+                    ..
                 } if exn == name => {
                     let header = self
                         .heap
@@ -1285,8 +1199,8 @@ impl<'a> Machine<'a> {
                     } else {
                         Word::UNIT
                     };
-                    let env2 = env_bind(&env, arg, bound);
-                    return Ok(Ctrl::Eval(handler, env2, renv));
+                    bind(&act, arg, bound.0);
+                    return Ok(Ctrl::Eval(handler, act));
                 }
                 _ => {}
             }
@@ -1300,9 +1214,9 @@ impl<'a> Machine<'a> {
     fn apply_prim(
         &mut self,
         op: PrimOp,
-        args: &[Word],
-        at: Option<RegVar>,
-        renv: &REnv,
+        args: [Word; 2],
+        at: Option<Slot>,
+        act: &Act,
     ) -> MResult<Word> {
         use PrimOp::*;
         let int = |w: Word| -> MResult<i64> {
@@ -1350,8 +1264,8 @@ impl<'a> Machine<'a> {
                     .heap
                     .read_str(args[1], "string concat")
                     .or_else(|e| self.dangling(e))?;
-                let rv = at.ok_or_else(|| RunError::Stuck("`^` without region".into()))?;
-                let r = self.region(renv, rv)?;
+                let at = at.ok_or_else(|| RunError::Stuck("`^` without region".into()))?;
+                let r = self.alloc_region(act, at)?;
                 self.heap.alloc_str(r, &(a + &b))
             }
             Size => {
@@ -1363,8 +1277,8 @@ impl<'a> Machine<'a> {
             }
             Itos => {
                 let n = int(args[0])?;
-                let rv = at.ok_or_else(|| RunError::Stuck("`itos` without region".into()))?;
-                let r = self.region(renv, rv)?;
+                let at = at.ok_or_else(|| RunError::Stuck("`itos` without region".into()))?;
+                let r = self.alloc_region(act, at)?;
                 self.heap.alloc_str(r, &n.to_string())
             }
             Print => {

@@ -1,14 +1,21 @@
 //! The observability facade: spans, instants, and counters, fanned out to
-//! a process-global sink.
+//! the sink of the session that asked for them.
 //!
 //! Every layer of the stack (pipeline phases, the region-inference
 //! fix-point, the abstract machine, the collector) calls into this module
-//! unconditionally; whether anything happens is decided by one relaxed
-//! atomic load. **The disabled path performs no allocation and takes no
-//! lock** — [`enabled`] is a single `AtomicBool` read, and every entry
+//! unconditionally; whether anything happens is decided by one
+//! thread-local load. **The disabled path performs no allocation and
+//! takes no lock** — [`enabled`] reads one `Cell<bool>`, and every entry
 //! point checks it before touching arguments. The perf smoke suite pins
 //! this contract (`events_recorded()` must stay zero across an
 //! instrumented run with no sink installed).
+//!
+//! Sinks are scoped to a session, not to the process: [`install`] pushes a
+//! sink on the *current thread's* sink stack and returns a guard that pops
+//! it. Events go to the top of the stack, so concurrent sessions on
+//! different threads never see each other's events. A session that hands
+//! work to another thread passes its sink along explicitly
+//! ([`current`], then [`install`] on the worker).
 //!
 //! The default sink is a [`Recorder`]: an in-memory event buffer with a
 //! Chrome trace-event JSON exporter ([`Recorder::to_chrome_json`]) whose
@@ -17,7 +24,9 @@
 //! span, phases inside a compile span) is reconstructed by the viewer.
 
 use crate::json::Json;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -76,66 +85,98 @@ pub trait TraceSink: Send + Sync {
     );
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static RECORDED: AtomicU64 = AtomicU64::new(0);
-static SINK: Mutex<Option<Arc<dyn TraceSink>>> = Mutex::new(None);
 
-/// Is a sink installed? One relaxed atomic load; the whole cost of the
-/// instrumentation when tracing is off.
+thread_local! {
+    /// The sinks installed on this thread; events go to the last one.
+    static SINKS: RefCell<Vec<Arc<dyn TraceSink>>> = const { RefCell::new(Vec::new()) };
+    /// Mirrors `!SINKS.is_empty()`, so the disabled check is one load.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Is a sink installed on this thread? One thread-local load; the whole
+/// cost of the instrumentation when tracing is off.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
-/// Installs a process-global sink. Replaces any previous sink.
-pub fn install(sink: Arc<dyn TraceSink>) {
-    if let Ok(mut guard) = SINK.lock() {
-        *guard = Some(sink);
-        ENABLED.store(true, Ordering::SeqCst);
+/// Keeps a sink installed on the thread that installed it; dropping it
+/// uninstalls the sink and re-exposes the one installed before, if any.
+#[must_use = "the sink is uninstalled when the guard drops"]
+pub struct SinkGuard {
+    /// Guards pop the installing thread's stack, so they stay on it.
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for SinkGuard {
+    fn drop(&mut self) {
+        SINKS.with(|s| {
+            let mut s = s.borrow_mut();
+            s.pop();
+            ENABLED.with(|e| e.set(!s.is_empty()));
+        });
     }
 }
 
-/// Removes the sink; subsequent events hit the disabled fast path.
-pub fn uninstall() {
-    ENABLED.store(false, Ordering::SeqCst);
-    if let Ok(mut guard) = SINK.lock() {
-        *guard = None;
+/// Installs `sink` for the current thread until the returned guard drops.
+/// Other threads, including ones this thread spawns, do not see it unless
+/// it is installed there too.
+pub fn install(sink: Arc<dyn TraceSink>) -> SinkGuard {
+    SINKS.with(|s| s.borrow_mut().push(sink));
+    ENABLED.with(|e| e.set(true));
+    SinkGuard {
+        _thread_bound: PhantomData,
     }
 }
 
-/// Events delivered to any sink since process start — a cheap handle for
-/// tests asserting the disabled path stays silent.
+/// The sink events on this thread currently go to, for handing to a
+/// worker thread that should record into the same session.
+pub fn current() -> Option<Arc<dyn TraceSink>> {
+    if !enabled() {
+        return None;
+    }
+    SINKS.with(|s| s.borrow().last().cloned())
+}
+
+/// Events delivered to any sink on any thread since process start — a
+/// cheap handle for tests asserting the disabled path stays silent.
 pub fn events_recorded() -> u64 {
     RECORDED.load(Ordering::Relaxed)
 }
 
-fn with_sink(f: impl FnOnce(&dyn TraceSink)) {
-    if !enabled() {
-        return;
-    }
-    let sink = match SINK.lock() {
-        Ok(guard) => guard.clone(),
-        Err(_) => None,
-    };
-    if let Some(s) = sink {
-        RECORDED.fetch_add(1, Ordering::Relaxed);
-        f(&*s);
-    }
+fn deliver(
+    sink: &dyn TraceSink,
+    ph: TracePhase,
+    name: &'static str,
+    cat: &'static str,
+    args: &[(&'static str, f64)],
+) {
+    RECORDED.fetch_add(1, Ordering::Relaxed);
+    sink.record(ph, name, cat, args);
 }
 
-/// An RAII span: `B` on creation, `E` on drop, both suppressed when no
-/// sink was installed at creation time.
+fn emit(ph: TracePhase, name: &'static str, cat: &'static str, args: &[(&'static str, f64)]) {
+    SINKS.with(|s| {
+        if let Some(sink) = s.borrow().last() {
+            deliver(&**sink, ph, name, cat, args);
+        }
+    });
+}
+
+/// An RAII span: `B` on creation, `E` on drop, both delivered to the sink
+/// current at creation and suppressed when there was none.
 #[must_use = "a span traces the scope it is alive for"]
 pub struct Span {
     name: &'static str,
     cat: &'static str,
-    armed: bool,
+    sink: Option<Arc<dyn TraceSink>>,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.armed {
-            with_sink(|s| s.record(TracePhase::End, self.name, self.cat, &[]));
+        if let Some(sink) = &self.sink {
+            deliver(&**sink, TracePhase::End, self.name, self.cat, &[]);
         }
     }
 }
@@ -143,29 +184,27 @@ impl Drop for Span {
 /// Opens a span. Zero-cost (a bool check, no allocation) when disabled.
 #[inline]
 pub fn span(name: &'static str, cat: &'static str) -> Span {
-    let armed = enabled();
-    if armed {
-        with_sink(|s| s.record(TracePhase::Begin, name, cat, &[]));
+    let sink = current();
+    if let Some(s) = &sink {
+        deliver(&**s, TracePhase::Begin, name, cat, &[]);
     }
-    Span { name, cat, armed }
+    Span { name, cat, sink }
 }
 
 /// Emits an instant event with numeric arguments.
 #[inline]
 pub fn instant(name: &'static str, cat: &'static str, args: &[(&'static str, f64)]) {
-    if !enabled() {
-        return;
+    if enabled() {
+        emit(TracePhase::Instant, name, cat, args);
     }
-    with_sink(|s| s.record(TracePhase::Instant, name, cat, args));
 }
 
 /// Emits a counter sample (rendered as a stacked chart by trace viewers).
 #[inline]
 pub fn counter(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        emit(TracePhase::Counter, name, "counter", &[("value", value)]);
     }
-    with_sink(|s| s.record(TracePhase::Counter, name, "counter", &[("value", value)]));
 }
 
 fn current_tid() -> u64 {
@@ -273,35 +312,33 @@ impl TraceSink for Recorder {
 mod tests {
     use super::*;
 
-    // The sink registry is process-global; tests that install one must
-    // not interleave. (Integration-level exporter tests live in the root
-    // crate's `tests/observability.rs` under the same discipline.)
-    static GATE: Mutex<()> = Mutex::new(());
+    // Sinks are per thread and every test runs on its own thread, so the
+    // tests need no lock against each other.
 
     #[test]
     fn disabled_path_records_nothing() {
-        let _g = GATE.lock().unwrap();
-        uninstall();
-        let before = events_recorded();
+        assert!(!enabled());
+        let rec = Arc::new(Recorder::new());
+        drop(install(rec.clone()));
         {
             let _s = span("quiet", "test");
             instant("quiet.i", "test", &[("n", 1.0)]);
             counter("quiet.c", 2.0);
         }
-        assert_eq!(events_recorded(), before);
+        assert!(rec.events().is_empty());
+        assert!(current().is_none());
     }
 
     #[test]
     fn recorder_pairs_spans_and_exports_chrome_events() {
-        let _g = GATE.lock().unwrap();
         let rec = Arc::new(Recorder::new());
-        install(rec.clone());
+        let guard = install(rec.clone());
         {
             let _outer = span("outer", "test");
             let _inner = span("inner", "test");
             counter("bytes", 42.0);
         }
-        uninstall();
+        drop(guard);
         let evs = rec.events();
         let phs: Vec<TracePhase> = evs.iter().map(|e| e.ph).collect();
         assert_eq!(
@@ -325,13 +362,50 @@ mod tests {
 
     #[test]
     fn span_created_before_install_never_emits_its_end() {
-        let _g = GATE.lock().unwrap();
-        uninstall();
         let s = span("pre", "test");
         let rec = Arc::new(Recorder::new());
-        install(rec.clone());
+        let guard = install(rec.clone());
         drop(s); // was created unarmed; must stay silent
-        uninstall();
+        drop(guard);
         assert!(rec.events().is_empty());
+    }
+
+    #[test]
+    fn nested_sinks_stack_and_spans_end_where_they_began() {
+        let outer = Arc::new(Recorder::new());
+        let g1 = install(outer.clone());
+        let s = span("outer.span", "test");
+        let inner = Arc::new(Recorder::new());
+        let g2 = install(inner.clone());
+        instant("inner.i", "test", &[]);
+        drop(s); // begun on `outer`, so it ends there
+        drop(g2);
+        instant("outer.i", "test", &[]);
+        drop(g1);
+        assert!(!enabled());
+        let names = |r: &Recorder| r.events().iter().map(|e| e.name).collect::<Vec<_>>();
+        assert_eq!(names(&inner), ["inner.i"]);
+        assert_eq!(names(&outer), ["outer.span", "outer.span", "outer.i"]);
+    }
+
+    #[test]
+    fn a_sink_is_invisible_to_other_threads() {
+        let rec = Arc::new(Recorder::new());
+        let _g = install(rec.clone());
+        std::thread::spawn(|| {
+            assert!(!enabled());
+            instant("elsewhere", "test", &[]);
+        })
+        .join()
+        .unwrap();
+        let sink = current();
+        std::thread::spawn(move || {
+            let _g = sink.map(install);
+            instant("inherited", "test", &[]);
+        })
+        .join()
+        .unwrap();
+        let names: Vec<_> = rec.events().iter().map(|e| e.name).collect();
+        assert_eq!(names, ["inherited"]);
     }
 }

@@ -183,11 +183,12 @@ fn main() {
         });
         generated = Some((src, format!("gen-{s}")));
     }
-    let recorder: Option<(Arc<trace::Recorder>, String)> = profile.map(|path| {
-        let rec = Arc::new(trace::Recorder::new());
-        trace::install(rec.clone());
-        (rec, path)
-    });
+    let recorder: Option<(Arc<trace::Recorder>, String)> =
+        profile.map(|path| (Arc::new(trace::Recorder::new()), path));
+    // Records this session (the main thread) until `main` returns or exits.
+    let _sink = recorder
+        .as_ref()
+        .map(|(rec, _)| trace::install(rec.clone()));
     if torture {
         // The oracle compiles all three strategies itself, so it needs
         // source input, not pre-strategy serialized IR.

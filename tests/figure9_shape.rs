@@ -50,14 +50,53 @@ fn r_strategy_never_collects() {
     }
 }
 
+/// The machine's deterministic counts per suite program, recorded with
+/// the default GC policy: steps, bytes allocated, collections and peak
+/// heap bytes. `rg` and `rg-` agree on all four for every program in the
+/// suite. A machine change that alters its transitions, its allocations
+/// or its root set moves one of them.
+const PINNED: &[(&str, [u64; 4])] = &[
+    ("fib", [1031827, 1848, 0, 77824]),
+    ("tak", [16621990, 12666088, 193, 151552]),
+    ("mandelbrot", [1314643, 2290544, 34, 342016]),
+    ("msort", [206728, 205992, 3, 176128]),
+    ("msort-rf", [156942, 167016, 2, 563200]),
+    ("life", [1174230, 2913904, 44, 360448]),
+    ("queens", [136596, 333160, 5, 241664]),
+    ("logic", [800655, 1149720, 17, 237568]),
+    ("perm", [1594046, 5357776, 21, 1019904]),
+    ("ratio", [5522, 5616, 0, 141312]),
+    ("strings", [4851, 56712, 0, 114688]),
+    ("compose", [5336, 10288, 0, 212992]),
+    ("matrix", [568832, 628176, 9, 174080]),
+    ("tsp", [121800, 372768, 5, 212992]),
+    ("sieve", [87480, 216232, 3, 210944]),
+    ("mpuz", [101904, 129448, 1, 282624]),
+    ("dlx", [2554236, 4818144, 73, 114688]),
+    ("exceptions", [882262, 916440, 13, 114688]),
+];
+
 #[test]
 fn rg_rgminus_execute_the_same_number_of_steps() {
     // Same generated code shape ⇒ same machine step counts (the regions
     // differ only in live ranges, not instructions).
-    for name in FAST {
-        let a = run(name, Strategy::Rg, false);
-        let b = run(name, Strategy::RgMinus, false);
-        assert_eq!(a.steps, b.steps, "{name}");
+    let counts = |o: rml::RunOutcome| {
+        [
+            o.steps,
+            o.stats.bytes_allocated,
+            o.stats.gc_count,
+            o.stats.peak_bytes(),
+        ]
+    };
+    let names: Vec<&str> = rml::programs::suite().iter().map(|p| p.name).collect();
+    let pinned: Vec<&str> = PINNED.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, pinned);
+    for (name, want) in PINNED {
+        let a = counts(run(name, Strategy::Rg, false));
+        let b = counts(run(name, Strategy::RgMinus, false));
+        assert_eq!(a[0], b[0], "{name}: rg and rg- steps");
+        assert_eq!(&a, want, "{name} under rg: [steps, alloc, gc, peak]");
+        assert_eq!(&b, want, "{name} under rg-: [steps, alloc, gc, peak]");
     }
 }
 

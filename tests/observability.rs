@@ -4,15 +4,13 @@
 //! the unified `MetricsSnapshot` must report the same counters as the
 //! `HeapStats` the torture rig saw.
 //!
-//! The trace sink is process-global, so every test that installs one
-//! holds `SINK_GATE` for its whole body (other test *binaries* are other
-//! processes and unaffected).
+//! Trace sinks belong to the thread (session) that installs them, so these
+//! tests run concurrently with each other and with untraced compiles
+//! without seeing foreign events.
 
 use rml::{compile, execute, ExecOpts, Strategy};
 use rml_session::trace;
-use std::sync::{Arc, Mutex};
-
-static SINK_GATE: Mutex<()> = Mutex::new(());
+use std::sync::{Arc, Barrier};
 
 // --- a minimal JSON validator (the workspace has no serde) --------------
 
@@ -219,7 +217,7 @@ impl<'a> Parser<'a> {
 /// with a recorder installed, returning the exported trace.
 fn record_stressed_run() -> (String, Vec<trace::TraceEvent>) {
     let rec = Arc::new(trace::Recorder::new());
-    trace::install(rec.clone());
+    let guard = trace::install(rec.clone());
     let c = compile(
         "fun main () = let fun loop (n) = if n = 0 then 0 else loop (n - 1) in loop 3000 end",
         Strategy::Rg,
@@ -230,13 +228,12 @@ fn record_stressed_run() -> (String, Vec<trace::TraceEvent>) {
         ..ExecOpts::default()
     };
     execute(&c, &opts).unwrap();
-    trace::uninstall();
+    drop(guard);
     (rec.to_chrome_json(), rec.events())
 }
 
 #[test]
 fn chrome_trace_is_valid_json_with_phase_spans_and_gc_pauses() {
-    let _g = SINK_GATE.lock().unwrap();
     let (json, _) = record_stressed_run();
     let v = Parser::parse(&json).expect("trace must be valid JSON");
     assert_eq!(v.get("displayTimeUnit").and_then(V::as_str), Some("ms"));
@@ -271,7 +268,6 @@ fn chrome_trace_is_valid_json_with_phase_spans_and_gc_pauses() {
 
 #[test]
 fn spans_nest_and_gc_pauses_land_inside_the_run_span() {
-    let _g = SINK_GATE.lock().unwrap();
     let (_, events) = record_stressed_run();
     // B/E events balance like parentheses (single-threaded run here, but
     // check per tid as a viewer would).
@@ -354,4 +350,65 @@ fn metrics_snapshot_agrees_with_torture_rig_heap_stats() {
     // And the JSON view renders without panicking on any float.
     let json = snap.to_json().try_render().unwrap();
     assert!(json.contains("\"forced_gcs\""));
+}
+
+#[test]
+fn concurrent_recorders_each_see_only_their_own_session() {
+    // Two sessions at once: one compiles and runs under a stress schedule,
+    // the other only compiles. The barrier makes their pipelines overlap.
+    let start = Arc::new(Barrier::new(2));
+    let session = |run: bool, start: Arc<Barrier>| {
+        std::thread::spawn(move || {
+            let rec = Arc::new(trace::Recorder::new());
+            let guard = trace::install(rec.clone());
+            start.wait();
+            for _ in 0..3 {
+                let c =
+                    compile("fun main () = let val x = (1, 2) in #1 x end", Strategy::Rg).unwrap();
+                if run {
+                    let opts = ExecOpts {
+                        gc: Some(rml_eval::GcPolicy::stress_every(5, 1)),
+                        ..ExecOpts::default()
+                    };
+                    execute(&c, &opts).unwrap();
+                }
+            }
+            drop(guard);
+            rec.events()
+        })
+    };
+    let runner = session(true, start.clone());
+    let compiler = session(false, start);
+    let ran = runner.join().unwrap();
+    let compiled = compiler.join().unwrap();
+    let names = |evs: &[trace::TraceEvent]| -> std::collections::BTreeSet<&'static str> {
+        evs.iter().map(|e| e.name).collect()
+    };
+    let tids = |evs: &[trace::TraceEvent]| -> std::collections::BTreeSet<u64> {
+        evs.iter().map(|e| e.tid).collect()
+    };
+    // Each recorder holds one thread's events, and not the same thread.
+    assert_eq!(tids(&ran).len(), 1, "{:?}", tids(&ran));
+    assert_eq!(tids(&compiled).len(), 1, "{:?}", tids(&compiled));
+    assert_ne!(tids(&ran), tids(&compiled));
+    // Both compiled; only one ran.
+    for evs in [&ran, &compiled] {
+        assert!(names(evs).contains("region-inference"));
+    }
+    assert!(names(&ran).contains("machine.run"));
+    assert!(names(&ran).contains("gc.pause"));
+    assert!(!names(&compiled).contains("machine.run"));
+    assert!(!names(&compiled).contains("gc.pause"));
+    // Three compiles per session, each a balanced span.
+    for evs in [&ran, &compiled] {
+        let begins = evs
+            .iter()
+            .filter(|e| e.name == "compile" && e.ph == trace::TracePhase::Begin)
+            .count();
+        let ends = evs
+            .iter()
+            .filter(|e| e.name == "compile" && e.ph == trace::TracePhase::End)
+            .count();
+        assert_eq!((begins, ends), (3, 3));
+    }
 }

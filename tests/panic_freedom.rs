@@ -1,7 +1,8 @@
 //! Panic-freedom fuzzing for the input-facing surfaces: arbitrary bytes
 //! into the lexer/parser and mutated RMLI bytes into the IR decoder must
 //! produce structured errors (`ParseError`, `IrError`), never a panic,
-//! abort, or runaway allocation.
+//! abort, or runaway allocation. A mutant that still decodes is run, and
+//! the machine must reject or execute it with a `RunError`, never panic.
 //!
 //! The generators are deterministic (see the proptest shim), so a
 //! failure here reproduces exactly on re-run.
@@ -30,6 +31,16 @@ fn xorshift(state: &mut u64) -> u64 {
     x ^= x << 17;
     *state = x;
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// Decodes an image and, if that succeeds, runs it with a small step
+/// budget: the machine must execute or reject it without panicking.
+fn run_if_decodes(bytes: &[u8]) {
+    if let Ok(prog) = rml_core::ir::decode_program(bytes) {
+        let mut opts = rml_eval::RunOpts::new(prog.global);
+        opts.fuel = 20_000;
+        let _ = rml_eval::run(&prog.term, &opts);
+    }
 }
 
 /// A real, well-formed RMLI image to mutate.
@@ -70,7 +81,10 @@ proptest! {
     /// optionally truncate. The decoder must reject (or accept a
     /// coincidentally valid image) without panicking and without
     /// trusting embedded counts (`IrError::Truncated` for counts that
-    /// exceed the input).
+    /// exceed the input). Each seed also nudges one byte of the image by
+    /// a small amount, which usually still decodes, into a program that is
+    /// ill-formed in some way (an unbound name, another literal, tag or
+    /// region). Every mutant that decodes is run.
     #[test]
     fn ir_decoder_survives_mutations(seed in any::<u64>()) {
         let base = base_ir();
@@ -84,7 +98,11 @@ proptest! {
         if xorshift(&mut st).is_multiple_of(4) {
             bytes.truncate((xorshift(&mut st) as usize) % (bytes.len() + 1));
         }
-        let _ = rml_core::ir::decode_program(&bytes);
+        run_if_decodes(&bytes);
+        let mut nudged = base.to_vec();
+        let pos = (xorshift(&mut st) as usize) % nudged.len();
+        nudged[pos] = nudged[pos].wrapping_add((xorshift(&mut st) % 3 + 1) as u8);
+        run_if_decodes(&nudged);
     }
 
     /// Pure byte soup (no valid prefix at all) through the decoder.
@@ -108,4 +126,25 @@ fn deep_nesting_is_an_error_not_a_crash() {
         ")".repeat(50_000)
     );
     assert!(rml_syntax::parse_program(&tysrc).is_err());
+}
+
+/// A decodable image whose term projects field 0 of a pair used to
+/// underflow the machine's field index. Loading it must fail cleanly.
+#[test]
+fn ir_with_projection_zero_is_rejected_before_running() {
+    use rml_core::terms::Term;
+    let global = rml_core::vars::RegVar::fresh();
+    let pair = Term::Pair(Box::new(Term::Int(1)), Box::new(Term::Int(2)), global);
+    let bytes = rml_core::ir::encode_program(&rml_core::ir::IrProgram {
+        term: Term::Sel(0, Box::new(pair)),
+        exns: Default::default(),
+        global,
+        schemes: Vec::new(),
+    });
+    let c = rml::load_ir(&bytes, rml::Strategy::Rg).expect("the image decodes");
+    let err = rml::execute(&c, &rml::ExecOpts::default()).unwrap_err();
+    assert!(
+        matches!(&err, rml_eval::RunError::Stuck(m) if m.contains("projection #0")),
+        "{err}"
+    );
 }
