@@ -15,30 +15,16 @@
 //! machine-readable form (per-program compile time plus per-strategy run
 //! time, steps, allocation, peak bytes, and gc counts).
 //!
-//! Compilations are cached on disk (serialized IR + statistics) in
-//! `.rml-bench-cache/`, so a repeated run skips the pipeline entirely.
-//! Set `RML_BENCH_CACHE` to relocate the cache, or to `off` to disable
-//! it. Entries are keyed by content hash, so stale entries are never
-//! read — delete the directory to reclaim the space.
+//! Rows are built serially, each program compiled once per strategy.
+//! Timing trajectories with spread are the `perfbench` harness's job.
 
 fn main() {
     // A non-numeric repeats argument fails loudly (exit 2) instead of
     // silently falling back to 3 best-of runs.
     let repeats = rml_bench::arg_u64(1, "repeats", 3) as usize;
-    let cache_setting = std::env::var("RML_BENCH_CACHE").unwrap_or_default();
-    let cache_dir = match cache_setting.as_str() {
-        "off" | "0" => None,
-        "" => Some(std::path::PathBuf::from(".rml-bench-cache")),
-        p => Some(std::path::PathBuf::from(p)),
-    };
-    eprintln!(
-        "running the Figure 9 suite (best of {repeats}, cache {})...",
-        cache_dir
-            .as_deref()
-            .map_or("off".to_string(), |p| p.display().to_string())
-    );
+    eprintln!("running the Figure 9 suite (best of {repeats})...");
     let t0 = std::time::Instant::now();
-    let rows = rml_bench::figure9_cached(repeats, cache_dir.as_deref());
+    let rows = rml_bench::figure9(repeats);
     let wall = t0.elapsed();
     println!("{}", rml_bench::render(&rows));
     let compile_ms: f64 = rows

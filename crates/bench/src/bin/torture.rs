@@ -18,7 +18,6 @@
 //!   2,000,000; CI uses a reduced budget). Steps are
 //!   schedule-independent, so running out of fuel is itself a
 //!   deterministic, agreeing outcome.
-//! * `RML_BENCH_CACHE` — same compile cache as the `figure9` binary.
 //!
 //! Exit status is non-zero when any program diverges.
 
@@ -27,12 +26,6 @@ fn main() {
     // `RML_TORTURE_FUEL=2m` must not silently torture with the default.
     let seed = rml_bench::arg_u64(1, "seed", 0x7041_10E5);
     let fuel = rml_bench::env_u64("RML_TORTURE_FUEL", 2_000_000);
-    let cache_setting = std::env::var("RML_BENCH_CACHE").unwrap_or_default();
-    let cache_dir = match cache_setting.as_str() {
-        "off" | "0" => None,
-        "" => Some(std::path::PathBuf::from(".rml-bench-cache")),
-        p => Some(std::path::PathBuf::from(p)),
-    };
     let opts = rml::torture::TortureOpts {
         seed,
         fuel,
@@ -41,7 +34,7 @@ fn main() {
     };
     eprintln!("torturing the suite (seed {seed:#x}, fuel {fuel})...");
     let t0 = std::time::Instant::now();
-    let reports = rml_bench::differential(&opts, cache_dir.as_deref());
+    let reports = rml_bench::differential(&opts);
     let wall = t0.elapsed();
     let mut failed = 0;
     for rep in &reports {

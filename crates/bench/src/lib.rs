@@ -8,27 +8,18 @@
 //! execution time, machine steps, allocation, peak memory (the simulated
 //! RSS), and the number of reference-tracing collections.
 //!
-//! Every program is compiled **at most once per strategy** (three
+//! Every program is compiled **exactly once per strategy** (three
 //! compilations per program, see [`CompiledSet`]); the statistics
 //! columns, the `diff` column, and all four measurements share those
 //! compilations. The basis library's own statistics (subtracted from the
 //! per-program columns) are compiled once per process.
 //!
-//! Two further layers keep repeated runs cheap:
-//!
-//! * a **disk compile cache** ([`compile_set_cached`]): each compiled
-//!   program is persisted as serialized region-annotated IR
-//!   (`rml_core::ir`) plus its Figure 9 statistics, keyed by a content
-//!   hash of the source, the strategy, and the IR format version. A warm
-//!   cache makes a `figure9` run perform **zero** compilations;
-//! * a **work-stealing row queue** ([`figure9`]): a fixed pool of workers
-//!   (one per available core, capped at the row count) pulls program
-//!   indices from a shared atomic counter, so a slow row no longer holds
-//!   up an idle thread. Results are slotted by index, keeping the table
-//!   order deterministic.
+//! [`figure9`] builds the rows serially, so each row's runs are timed
+//! with nothing else running. The suite-wide robustness check is the
+//! `torture` binary ([`differential`]), which does no timing and spreads
+//! its programs over a worker pool.
 
 use rml::{compile_with_basis, execute, programs::Program, ExecOpts, Json, Strategy};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -74,15 +65,6 @@ pub struct Measurement {
     pub peak_bytes: u64,
     /// Reference-tracing collections (the paper's `gc #`).
     pub gc_count: u64,
-    /// Collections forced by a stress schedule (torture rig; 0 under the
-    /// default heuristic policy).
-    pub forced_gcs: u64,
-    /// Heap-invariant verifier walks performed (torture rig).
-    pub verify_walks: u64,
-    /// Injected faults the machine survived: probes that unwound with a
-    /// structured error and left the next clean run unaffected (torture
-    /// rig; only the `rg+torture` measurement probes).
-    pub faults_survived: u64,
     /// Whether the run crashed (dangling pointer under `rg-`).
     pub crashed: bool,
     /// The unified metrics snapshot (per-phase compile times, store
@@ -106,11 +88,7 @@ pub struct Row {
     pub diff: bool,
     /// Total wall-clock compilation time across the three strategies.
     pub compile_time: Duration,
-    /// Measurements for rg, rg-, r, baseline, rg+torture (in that
-    /// order). The last is the robustness measurement: `rg` under a
-    /// stress schedule with heap verification, plus fault-injection
-    /// probes — its overhead relative to the plain `rg` column is the
-    /// torture rig's cost, visible in the perf trajectory.
+    /// Measurements for rg, rg-, r, baseline (in that order).
     pub runs: Vec<Measurement>,
 }
 
@@ -124,187 +102,22 @@ pub struct CompiledSet {
     pub rgm: rml::Compiled,
     /// The `r` compilation.
     pub r: rml::Compiled,
-    /// Compilations performed to build this set (always 3; asserted by
-    /// the cache tests against the process-wide counter).
-    pub compiles: usize,
 }
 
 /// Compiles a program under all three strategies, once each.
 pub fn compile_set(p: &Program) -> CompiledSet {
-    compile_set_cached(p, None)
-}
-
-// --- the disk compile cache ---------------------------------------------
-//
-// Entry layout (all integers little-endian):
-//
-//   "RMLB"  u32 cache-version
-//   5 × u64 Figure 9 statistics (spurious/total fns, spurious/total
-//           insts, name count) followed by the length-prefixed names
-//   u64     IR byte length, then the `rml_core::ir` encoding itself
-//
-// Entries are keyed by an FNV-1a content hash of (source, strategy,
-// IR format version), so editing a program or bumping the IR format
-// simply misses the old entry — stale files are never *read*, only
-// eventually overwritten or left to be deleted by hand.
-
-const CACHE_MAGIC: &[u8; 4] = b"RMLB";
-const CACHE_VERSION: u32 = 1;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn strategy_label(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Rg => "rg",
-        Strategy::RgMinus => "rgm",
-        Strategy::R => "r",
-    }
-}
-
-fn cache_path(dir: &Path, p: &Program, s: Strategy) -> PathBuf {
-    let mut keyed = Vec::new();
-    keyed.extend_from_slice(p.source.as_bytes());
-    keyed.push(0);
-    keyed.extend_from_slice(strategy_label(s).as_bytes());
-    keyed.push(0);
-    keyed.extend_from_slice(&rml_core::ir::VERSION.to_le_bytes());
-    dir.join(format!(
-        "{}-{}-{:016x}.rmlb",
-        p.name,
-        strategy_label(s),
-        fnv1a(&keyed)
-    ))
-}
-
-fn encode_entry(c: &rml::Compiled) -> Vec<u8> {
-    let ir = rml::emit_ir(c);
-    let st = &c.output.stats;
-    let mut buf = Vec::with_capacity(ir.len() + 128);
-    buf.extend_from_slice(CACHE_MAGIC);
-    buf.extend_from_slice(&CACHE_VERSION.to_le_bytes());
-    for n in [
-        st.spurious_fns,
-        st.total_fns,
-        st.spurious_boxed_insts,
-        st.total_insts,
-        st.spurious_fn_names.len(),
-    ] {
-        buf.extend_from_slice(&(n as u64).to_le_bytes());
-    }
-    for name in &st.spurious_fn_names {
-        buf.extend_from_slice(&(name.len() as u64).to_le_bytes());
-        buf.extend_from_slice(name.as_bytes());
-    }
-    buf.extend_from_slice(&(ir.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&ir);
-    buf
-}
-
-fn decode_entry(bytes: &[u8], strategy: Strategy) -> Option<rml::Compiled> {
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = bytes.get(*at..*at + n)?;
-        *at += n;
-        Some(s)
+    let get = |s: Strategy, what: &str| {
+        compile_with_basis(p.source, s).unwrap_or_else(|e| panic!("compile {what}: {e}"))
     };
-    let take_u64 =
-        |at: &mut usize| -> Option<u64> { Some(u64::from_le_bytes(take(at, 8)?.try_into().ok()?)) };
-    if take(&mut at, 4)? != CACHE_MAGIC {
-        return None;
-    }
-    if take(&mut at, 4)? != CACHE_VERSION.to_le_bytes() {
-        return None;
-    }
-    let spurious_fns = take_u64(&mut at)? as usize;
-    let total_fns = take_u64(&mut at)? as usize;
-    let spurious_boxed_insts = take_u64(&mut at)? as usize;
-    let total_insts = take_u64(&mut at)? as usize;
-    let n_names = take_u64(&mut at)? as usize;
-    if n_names > bytes.len() {
-        return None; // corrupt count; bail before allocating
-    }
-    let mut spurious_fn_names = Vec::with_capacity(n_names);
-    for _ in 0..n_names {
-        let len = take_u64(&mut at)? as usize;
-        let s = take(&mut at, len)?;
-        spurious_fn_names.push(String::from_utf8(s.to_vec()).ok()?);
-    }
-    let ir_len = take_u64(&mut at)? as usize;
-    let ir = take(&mut at, ir_len)?;
-    if at != bytes.len() {
-        return None; // trailing garbage
-    }
-    let mut c = rml::load_ir(ir, strategy).ok()?;
-    c.output.stats = rml_infer::Stats {
-        spurious_fns,
-        total_fns,
-        spurious_boxed_insts,
-        total_insts,
-        spurious_fn_names,
-    };
-    Some(c)
-}
-
-fn cache_load(dir: &Path, p: &Program, s: Strategy) -> Option<rml::Compiled> {
-    let bytes = std::fs::read(cache_path(dir, p, s)).ok()?;
-    decode_entry(&bytes, s)
-}
-
-/// Best-effort store: benchmarking must not fail because a cache write
-/// did (read-only dir, full disk), so IO errors are swallowed. The entry
-/// is written to a sibling temp file and renamed into place, so a
-/// concurrent reader never sees a half-written entry.
-fn cache_store(dir: &Path, p: &Program, s: Strategy, c: &rml::Compiled) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = cache_path(dir, p, s);
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    if std::fs::write(&tmp, encode_entry(c)).is_ok() {
-        let _ = std::fs::rename(&tmp, &path);
-    }
-}
-
-/// As [`compile_set`], but consulting (and filling) a disk cache first.
-/// A cache hit decodes the stored IR instead of running the pipeline —
-/// the process compile counter does not move — and `compiles` reports
-/// only the compilations actually performed (0 on a fully warm cache).
-pub fn compile_set_cached(p: &Program, cache: Option<&Path>) -> CompiledSet {
-    let mut compiles = 0;
-    let mut get = |s: Strategy, what: &str| -> rml::Compiled {
-        if let Some(dir) = cache {
-            if let Some(c) = cache_load(dir, p, s) {
-                return c;
-            }
-        }
-        let c = compile_with_basis(p.source, s).unwrap_or_else(|e| panic!("compile {what}: {e}"));
-        compiles += 1;
-        if let Some(dir) = cache {
-            cache_store(dir, p, s, &c);
-        }
-        c
-    };
-    let rg = get(Strategy::Rg, "rg");
-    let rgm = get(Strategy::RgMinus, "rg-");
-    let r = get(Strategy::R, "r");
     CompiledSet {
-        rg,
-        rgm,
-        r,
-        compiles,
+        rg: get(Strategy::Rg, "rg"),
+        rgm: get(Strategy::RgMinus, "rg-"),
+        r: get(Strategy::R, "r"),
     }
 }
 
 /// The basis library's Figure 9 statistics (compiled once per process;
-/// only the plain-data statistics are retained, so the cache is shared
-/// across the harness's worker threads).
+/// only the plain-data statistics are retained).
 pub fn basis_stats() -> &'static rml_infer::Stats {
     static BASIS: OnceLock<rml_infer::Stats> = OnceLock::new();
     BASIS.get_or_init(|| {
@@ -315,8 +128,9 @@ pub fn basis_stats() -> &'static rml_infer::Stats {
     })
 }
 
-/// Runs an already-compiled program, best-of-`repeats`.
-pub fn measure_compiled(
+/// Runs an already-compiled program, best-of-`repeats`, on the region
+/// machine or (with `baseline`) the regionless one.
+fn measure_compiled(
     c: &rml::Compiled,
     baseline: bool,
     label: &'static str,
@@ -326,44 +140,29 @@ pub fn measure_compiled(
         baseline,
         ..ExecOpts::default()
     };
-    measure_compiled_opts(c, &opts, label, repeats)
-}
-
-/// As [`measure_compiled`], but under explicit execution options (the
-/// torture measurement runs stress schedules through this).
-pub fn measure_compiled_opts(
-    c: &rml::Compiled,
-    opts: &ExecOpts,
-    label: &'static str,
-    repeats: usize,
-) -> Measurement {
     let mut best = Duration::MAX;
     let mut last = None;
-    let mut crashed = false;
     for _ in 0..repeats.max(1) {
         let t0 = Instant::now();
-        match execute(c, opts) {
+        match execute(c, &opts) {
             Ok(out) => {
                 best = best.min(t0.elapsed());
                 last = Some(out);
             }
             Err(_) => {
-                crashed = true;
+                last = None;
                 break;
             }
         }
     }
     match last {
-        Some(out) if !crashed => Measurement {
+        Some(out) => Measurement {
             label,
             time: best,
             steps: out.steps,
             alloc_bytes: out.stats.bytes_allocated,
             peak_bytes: out.stats.peak_bytes(),
             gc_count: out.stats.gc_count,
-            forced_gcs: out.stats.forced_gcs,
-            verify_walks: out.stats.verify_walks,
-            faults_survived: 0,
             crashed: false,
             metrics: Some(rml::MetricsSnapshot::new(
                 &c.timings,
@@ -371,81 +170,17 @@ pub fn measure_compiled_opts(
                 &out,
             )),
         },
-        _ => Measurement {
+        None => Measurement {
             label,
             time: Duration::ZERO,
             steps: 0,
             alloc_bytes: 0,
             peak_bytes: 0,
             gc_count: 0,
-            forced_gcs: 0,
-            verify_walks: 0,
-            faults_survived: 0,
             crashed: true,
             metrics: None,
         },
     }
-}
-
-/// PRNG seed for the torture measurement's stress schedule; fixed so the
-/// robustness columns of `BENCH_figure9.json` are deterministic.
-pub const TORTURE_SEED: u64 = 0x7041_10E5;
-
-/// The robustness measurement of a row: the `rg` compilation under a
-/// stress schedule (forced collection every 64 steps) with the heap
-/// verifier walking after every collection, plus two fault-injection
-/// probes (allocation budget, continuation-depth limit). The probes
-/// count as *survived* when the limited run either completes or unwinds
-/// with the matching structured error — a panic or an unrelated error
-/// marks the measurement crashed.
-pub fn measure_torture(set: &CompiledSet, repeats: usize) -> Measurement {
-    use rml_eval::{GcPolicy, RunError, VerifyLevel};
-    let opts = ExecOpts {
-        gc: Some(GcPolicy::stress_every(64, TORTURE_SEED)),
-        verify: Some(VerifyLevel::AfterGc),
-        ..ExecOpts::default()
-    };
-    let mut m = measure_compiled_opts(&set.rg, &opts, "rg+torture", repeats);
-    type FaultMatcher = fn(&rml_eval::RunError) -> bool;
-    let probes: [(ExecOpts, FaultMatcher); 2] = [
-        (
-            ExecOpts {
-                alloc_budget: Some(1),
-                ..ExecOpts::default()
-            },
-            |e| matches!(e, RunError::OutOfMemory { .. }),
-        ),
-        (
-            ExecOpts {
-                depth_limit: Some(2),
-                ..ExecOpts::default()
-            },
-            |e| matches!(e, RunError::DepthLimit { .. }),
-        ),
-    ];
-    for (eo, expect) in probes {
-        match execute(&set.rg, &eo) {
-            // Limit not reached: nothing to survive, still structural.
-            Ok(_) => m.faults_survived += 1,
-            Err(e) if expect(&e) => m.faults_survived += 1,
-            Err(_) => m.crashed = true,
-        }
-    }
-    m
-}
-
-/// Runs one program under one strategy, best-of-`repeats`, compiling it
-/// first. Prefer [`measure_compiled`] (via [`compile_set`]) when several
-/// measurements share a program.
-pub fn measure(
-    p: &Program,
-    strategy: Strategy,
-    baseline: bool,
-    label: &'static str,
-    repeats: usize,
-) -> Measurement {
-    let c = compile_with_basis(p.source, strategy).expect("compile failed");
-    measure_compiled(&c, baseline, label, repeats)
 }
 
 /// Normalises variable names (`r17`, `e3`, `a5`) to first-occurrence
@@ -511,10 +246,10 @@ fn own_functions(src: &str) -> Vec<String> {
 }
 
 /// Does the spurious machinery change the generated code for `p`'s own
-/// functions, given its compilations (the paper's `diff` column — the
-/// basis is compiled either way, so only the benchmark's own schemes
-/// count)?
-pub fn code_differs_compiled(p: &Program, rg: &rml::Compiled, rgm: &rml::Compiled) -> bool {
+/// functions, given its `rg` and `rg-` compilations (the paper's `diff`
+/// column — the basis is compiled either way, so only the benchmark's own
+/// schemes count)?
+pub fn code_differs(p: &Program, rg: &rml::Compiled, rgm: &rml::Compiled) -> bool {
     let own = own_functions(p.source);
     let render = |c: &rml::Compiled| -> Vec<String> {
         c.output
@@ -532,20 +267,12 @@ pub fn code_differs_compiled(p: &Program, rg: &rml::Compiled, rgm: &rml::Compile
     render(rg) != render(rgm)
 }
 
-/// As [`code_differs_compiled`], compiling `p` afresh. Prefer the
-/// `_compiled` variant when the compilations are already at hand.
-pub fn code_differs(p: &Program) -> bool {
-    let rg = compile_with_basis(p.source, Strategy::Rg).expect("compile");
-    let rgm = compile_with_basis(p.source, Strategy::RgMinus).expect("compile");
-    code_differs_compiled(p, &rg, &rgm)
-}
-
-/// Builds one Figure 9 row from an existing [`CompiledSet`], performing
+/// Builds one Figure 9 row from the program's [`CompiledSet`], performing
 /// no compilations of its own (the basis statistics come from the
 /// process-wide [`basis_stats`] cache). The `fcns`/`inst` counts are for
 /// the program itself (basis counts subtracted, as the paper excludes the
 /// Basis Library from the per-benchmark columns).
-pub fn row_with(p: &Program, set: &CompiledSet, repeats: usize) -> Row {
+pub fn row(p: &Program, set: &CompiledSet, repeats: usize) -> Row {
     let basis = basis_stats();
     let rg_stats = &set.rg.output.stats;
     let sub = |a: usize, b: usize| a.saturating_sub(b);
@@ -560,91 +287,36 @@ pub fn row_with(p: &Program, set: &CompiledSet, repeats: usize) -> Row {
             sub(rg_stats.spurious_boxed_insts, basis.spurious_boxed_insts),
             sub(rg_stats.total_insts, basis.total_insts),
         ),
-        diff: code_differs_compiled(p, &set.rg, &set.rgm),
+        diff: code_differs(p, &set.rg, &set.rgm),
         compile_time: set.rg.timings.total + set.rgm.timings.total + set.r.timings.total,
         runs: vec![
             measure_compiled(&set.rg, false, "rg", repeats),
             measure_compiled(&set.rgm, false, "rg-", repeats),
             measure_compiled(&set.r, false, "r", repeats),
             measure_compiled(&set.rg, true, "baseline", repeats),
-            measure_torture(set, repeats),
         ],
     }
 }
 
-/// Builds one Figure 9 row, compiling the program (once per strategy).
-pub fn row(p: &Program, repeats: usize) -> Row {
-    let set = compile_set(p);
-    row_with(p, &set, repeats)
-}
-
-/// As [`row`], but building the [`CompiledSet`] through the disk cache.
-pub fn row_cached(p: &Program, repeats: usize, cache: Option<&Path>) -> Row {
-    let set = compile_set_cached(p, cache);
-    row_with(p, &set, repeats)
-}
-
-/// The whole table, uncached (every row compiles its program afresh).
+/// The whole table, in suite order. Rows are built one after another on
+/// a single big-stack thread (the recursive passes need it in unoptimised
+/// builds), so every run is timed with nothing else running.
 pub fn figure9(repeats: usize) -> Vec<Row> {
-    figure9_cached(repeats, None)
-}
-
-/// The whole table. A fixed pool of workers (one per available core,
-/// capped at the row count) pulls program indices from a shared queue —
-/// work stealing, so one slow row never idles the other threads the way
-/// the previous one-thread-per-row split did. Each worker gets a large
-/// stack (the recursive passes need it in unoptimised builds), results
-/// are slotted by index, and the returned table is in suite order:
-/// deterministic up to the timing columns.
-///
-/// With `cache` set, compilations go through the disk cache; on a fully
-/// warm cache the run performs zero compilations.
-pub fn figure9_cached(repeats: usize, cache: Option<&Path>) -> Vec<Row> {
-    let progs = rml::programs::suite();
-    // Fill the basis cache before spawning so no worker repeats the work
-    // while another holds the `OnceLock` initialiser.
-    let _ = basis_stats();
-    let n = progs.len();
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .clamp(1, n.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Row>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            std::thread::Builder::new()
-                .stack_size(64 * 1024 * 1024)
-                .spawn_scoped(s, || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(p) = progs.get(i) else { break };
-                    let row = row_cached(p, repeats, cache);
-                    *slots[i].lock().expect("slot poisoned") = Some(row);
-                })
-                .expect("spawn figure9 worker");
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("every claimed slot is filled before workers exit")
-        })
-        .collect()
+    rml::run_with_big_stack(move || {
+        rml::programs::suite()
+            .iter()
+            .map(|p| row(p, &compile_set(p), repeats))
+            .collect()
+    })
 }
 
 /// Runs the differential torture oracle over the whole suite: every
-/// program, every strategy, every GC schedule (see [`rml::torture`]),
-/// compiled through the same disk cache as [`figure9_cached`] and spread
-/// over the same work-stealing worker pool. Reports come back in suite
-/// order.
-pub fn differential(
-    opts: &rml::torture::TortureOpts,
-    cache: Option<&Path>,
-) -> Vec<rml::torture::Report> {
+/// program, every strategy, every GC schedule (see [`rml::torture`]).
+/// Nothing is timed, so a fixed pool of workers (one per available core,
+/// capped at the program count) pulls program indices from a shared
+/// queue; reports come back in suite order.
+pub fn differential(opts: &rml::torture::TortureOpts) -> Vec<rml::torture::Report> {
     let progs = rml::programs::suite();
-    let _ = basis_stats();
     let n = progs.len();
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -660,7 +332,7 @@ pub fn differential(
                 .spawn_scoped(s, || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(p) = progs.get(i) else { break };
-                    let set = compile_set_cached(p, cache);
+                    let set = compile_set(p);
                     let rep =
                         rml::torture::torture_compiled(p.name, &set.rg, &set.rgm, &set.r, opts);
                     *slots[i].lock().expect("slot poisoned") = Some(rep);
@@ -743,9 +415,6 @@ fn measurement_json(m: &Measurement) -> Json {
         ("alloc_bytes".to_string(), Json::UInt(m.alloc_bytes)),
         ("peak_bytes".to_string(), Json::UInt(m.peak_bytes)),
         ("gc_count".to_string(), Json::UInt(m.gc_count)),
-        ("forced_gcs".to_string(), Json::UInt(m.forced_gcs)),
-        ("verify_walks".to_string(), Json::UInt(m.verify_walks)),
-        ("faults_survived".to_string(), Json::UInt(m.faults_survived)),
         ("crashed".to_string(), Json::Bool(m.crashed)),
     ];
     if let Some(metrics) = &m.metrics {
@@ -859,25 +528,19 @@ mod tests {
     fn one_row_has_all_strategies() {
         let r = rml::run_with_big_stack(|| {
             let p = rml::programs::by_name("fib").unwrap();
-            row(&p, 1)
+            row(&p, &compile_set(&p), 1)
         });
-        assert_eq!(r.runs.len(), 5);
+        let labels: Vec<&str> = r.runs.iter().map(|m| m.label).collect();
+        assert_eq!(labels, ["rg", "rg-", "r", "baseline"]);
         assert!(r.runs.iter().all(|m| !m.crashed));
         assert!(r.loc > 0);
-        // The robustness measurement actually tortured: collections were
-        // forced, the verifier walked, and both fault probes survived.
-        let torture = &r.runs[4];
-        assert_eq!(torture.label, "rg+torture");
-        assert!(torture.forced_gcs > 0);
-        assert!(torture.verify_walks > 0);
-        assert_eq!(torture.faults_survived, 2);
     }
 
     #[test]
     fn json_output_is_well_formed_enough() {
         let r = rml::run_with_big_stack(|| {
             let p = rml::programs::by_name("fib").unwrap();
-            row(&p, 1)
+            row(&p, &compile_set(&p), 1)
         });
         let j = to_json(&[r]);
         assert!(j.starts_with('{') && j.trim_end().ends_with('}'));

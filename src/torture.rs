@@ -370,12 +370,11 @@ pub fn torture_compiled(
     }
 
     // Fault-injection probes against the reference compilation.
-    let mut probes = Vec::new();
-    if opts.faults {
-        if let Outcome::Value { .. } = reference {
-            probes.extend(fault_probes(rg, &reference, opts, &mut divergences));
-        }
-    }
+    let probes = if opts.faults {
+        fault_probes(rg, &reference, opts, &mut divergences)
+    } else {
+        Vec::new()
+    };
 
     Report {
         name: name.to_string(),
@@ -395,6 +394,9 @@ fn fault_probes(
 
     // Find how much the reference run allocates, then inject a budget at
     // half of it — guaranteed to trip when the program allocates at all.
+    // A reference that runs out of fuel is still deterministic, so it is
+    // probed too, with the smallest budget (its count covers only the
+    // fuelled prefix). A reference that faults otherwise is not probed.
     let base = crate::pipeline::execute(
         rg,
         &ExecOpts {
@@ -402,7 +404,14 @@ fn fault_probes(
             ..ExecOpts::default()
         },
     );
-    let allocs = base.map(|o| o.stats.objects_allocated).unwrap_or(0);
+    let budget = match base {
+        Ok(out) if out.stats.objects_allocated > 0 => {
+            Some((out.stats.objects_allocated / 2).max(1))
+        }
+        Ok(_) => None,
+        Err(RunError::OutOfFuel) => Some(1),
+        Err(_) => return probes,
+    };
 
     let mut probe = |kind: &'static str, eo: ExecOpts, limit: u64| {
         let (outcome, faults_injected) = match crate::pipeline::execute(rg, &eo) {
@@ -418,7 +427,9 @@ fn fault_probes(
                     e,
                     RunError::OutOfMemory { .. } | RunError::DepthLimit { .. }
                 );
-                if !structured {
+                // Running out of fuel before the limit trips is the
+                // reference's own outcome, not a failure of the probe.
+                if !structured && !matches!(e, RunError::OutOfFuel) {
                     divergences.push(format!(
                         "probe {kind} produced an unstructured failure: {e}"
                     ));
@@ -455,8 +466,7 @@ fn fault_probes(
         });
     };
 
-    if allocs > 0 {
-        let budget = (allocs / 2).max(1);
+    if let Some(budget) = budget {
         probe(
             "alloc-budget",
             ExecOpts {
@@ -566,5 +576,40 @@ mod tests {
             alloc.outcome
         );
         assert!(alloc.recovered);
+    }
+
+    #[test]
+    fn fault_probes_run_when_the_reference_runs_out_of_fuel() {
+        // Allocates, then recurses far past the step budget: the reference
+        // is an out-of-fuel fault, and both probes still trip and recover.
+        let rep = torture(
+            "fuelled",
+            "fun spin n = if n = 0 then 0 else 1 + spin (n - 1) \
+             fun main () = let val p = (1, 2) in #1 p + spin 1000000 end",
+            &TortureOpts {
+                fuel: 2_000,
+                ..TortureOpts::default()
+            },
+        )
+        .unwrap();
+        assert!(rep.ok(), "{}", rep.render());
+        assert!(
+            matches!(
+                &rep.cells[0].outcome,
+                Outcome::Fault {
+                    dangling: false,
+                    ..
+                }
+            ),
+            "the reference must run out of fuel: {:?}",
+            rep.cells[0].outcome
+        );
+        let kinds: Vec<&str> = rep.probes.iter().map(|p| p.kind).collect();
+        assert_eq!(kinds, ["alloc-budget", "depth-limit"]);
+        for p in &rep.probes {
+            assert_eq!(p.faults_injected, 1, "probe {} did not trip", p.kind);
+            assert!(p.recovered, "probe {} did not recover", p.kind);
+        }
+        assert_eq!(rep.probes[0].limit, 1, "no allocation count: budget 1");
     }
 }

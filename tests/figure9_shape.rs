@@ -104,7 +104,7 @@ fn rg_rgminus_execute_the_same_number_of_steps() {
 fn fcns_and_inst_columns_are_program_relative() {
     rml::run_with_big_stack(|| {
         let p = rml::programs::by_name("compose").unwrap();
-        let r = rml_bench::row(&p, 1);
+        let r = rml_bench::row(&p, &rml_bench::compile_set(&p), 1);
         assert_eq!(r.fcns.0, 1, "compose defines one spurious function");
         assert!(r.fcns.1 >= 2);
         assert!(r.insts.1 >= r.insts.0);
@@ -113,11 +113,40 @@ fn fcns_and_inst_columns_are_program_relative() {
 }
 
 #[test]
+fn rgminus_crash_shows_in_the_table() {
+    // A generator-found program whose rg- compilation dangles at its
+    // forced collection: the row records the crash instead of a time.
+    let p = rml::programs::Program {
+        name: "dangle-4",
+        source: include_str!("corpus/dangle-4.rml"),
+        expected: None,
+    };
+    let r = rml::run_with_big_stack(move || rml_bench::row(&p, &rml_bench::compile_set(&p), 1));
+    let crashed: Vec<(&str, bool)> = r.runs.iter().map(|m| (m.label, m.crashed)).collect();
+    assert_eq!(
+        crashed,
+        [
+            ("rg", false),
+            ("rg-", true),
+            ("r", false),
+            ("baseline", false)
+        ]
+    );
+    assert!(r.runs[1].metrics.is_none(), "a crashed run has no metrics");
+    let table = rml_bench::render(&[r]);
+    let line = table.lines().find(|l| l.starts_with("dangle-4")).unwrap();
+    let times: Vec<&str> = line.split('|').nth(1).unwrap().split_whitespace().collect();
+    let crash_cols: Vec<usize> = (0..times.len()).filter(|&i| times[i] == "CRASH").collect();
+    assert_eq!(crash_cols, [1], "only the rg- column crashes: {line}");
+}
+
+#[test]
 fn pure_programs_have_empty_diff() {
     rml::run_with_big_stack(|| {
         for name in ["fib", "queens"] {
             let p = rml::programs::by_name(name).unwrap();
-            assert!(!rml_bench::code_differs(&p), "{name}");
+            let set = rml_bench::compile_set(&p);
+            assert!(!rml_bench::code_differs(&p, &set.rg, &set.rgm), "{name}");
         }
     });
 }

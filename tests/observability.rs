@@ -318,33 +318,38 @@ fn spans_nest_and_gc_pauses_land_inside_the_run_span() {
 #[test]
 fn metrics_snapshot_agrees_with_torture_rig_heap_stats() {
     // No sink needed: metrics come from the returned stats, not tracing.
+    // The torture rig's stress schedule: a forced collection every 64
+    // steps, with the heap verifier walking after each one.
     let p = rml::programs::by_name("fib").expect("suite program");
-    let (m, expected_steps) = rml::run_with_big_stack(move || {
-        let set = rml_bench::compile_set(&p);
-        let m = rml_bench::measure_torture(&set, 1);
+    let (snap, out, expected_steps) = rml::run_with_big_stack(move || {
+        let c = rml::compile_with_basis(p.source, Strategy::Rg).unwrap();
+        let stress = ExecOpts {
+            gc: Some(rml_eval::GcPolicy::stress_every(64, 0x7041_10E5)),
+            verify: Some(rml_eval::VerifyLevel::AfterGc),
+            ..ExecOpts::default()
+        };
+        let out = execute(&c, &stress).unwrap();
         // An independent plain run for the steps cross-check.
-        let out = execute(&set.rg, &ExecOpts::default()).unwrap();
-        (m, out.steps)
+        let plain = execute(&c, &ExecOpts::default()).unwrap();
+        let snap = rml::MetricsSnapshot::new(&c.timings, c.output.store_stats, &out);
+        (snap, out, plain.steps)
     });
-    assert!(!m.crashed);
-    let snap = m.metrics.expect("non-crashed measurement carries metrics");
     // The unified snapshot and the flat HeapStats fields must agree.
-    assert_eq!(snap.heap.forced_gcs, m.forced_gcs);
-    assert_eq!(snap.heap.verify_walks, m.verify_walks);
-    assert_eq!(snap.heap.gc_count, m.gc_count);
-    assert_eq!(snap.heap.bytes_allocated, m.alloc_bytes);
-    assert_eq!(snap.heap.peak_bytes(), m.peak_bytes);
-    assert_eq!(snap.steps, m.steps);
-    // Fault injection happens on probe runs whose stats are discarded;
-    // the measured run itself must report none.
+    assert_eq!(snap.heap.forced_gcs, out.stats.forced_gcs);
+    assert_eq!(snap.heap.verify_walks, out.stats.verify_walks);
+    assert_eq!(snap.heap.gc_count, out.stats.gc_count);
+    assert_eq!(snap.heap.bytes_allocated, out.stats.bytes_allocated);
+    assert_eq!(snap.heap.peak_bytes(), out.stats.peak_bytes());
+    assert_eq!(snap.steps, out.steps);
+    // No fault was injected into the measured run.
     assert_eq!(snap.heap.faults_injected, 0);
-    assert!(m.faults_survived >= 2, "both probes must have run");
-    // Under stress-every-64 the rig actually collected, and the pause
-    // histogram saw every collection.
+    // Under stress-every-64 the rig actually collected and verified, and
+    // the pause histogram saw every collection.
     assert!(snap.heap.forced_gcs > 0);
+    assert!(snap.heap.verify_walks > 0);
     assert_eq!(snap.pauses.count, snap.heap.gc_count);
     assert!(snap.pauses.max_us >= snap.pauses.p50_us);
-    // Steps are schedule-independent (the torture run executes the same
+    // Steps are schedule-independent (the stressed run executes the same
     // program as a plain run, just with more collections).
     assert_eq!(snap.steps, expected_steps);
     // And the JSON view renders without panicking on any float.
