@@ -17,11 +17,10 @@
 //! collection ("young" pages), using the write-barrier-maintained
 //! remembered set for old-to-young pointers.
 
-use crate::heap::{Heap, RegionKind};
+use crate::heap::{Heap, Page, RegionId, RegionKind};
 use crate::stats::GcPause;
 use crate::word::{Header, ObjKind, Word, WORD_BYTES};
 use rml_session::trace;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// A collection error.
@@ -76,83 +75,51 @@ impl Heap {
     /// # Errors
     ///
     /// Returns [`GcError::DanglingPointer`] if a live object points into a
-    /// deallocated region. The heap is left in a valid (if partially
-    /// evacuated) state; callers should treat this as fatal for the
-    /// program under execution, as a real collector would crash.
+    /// deallocated region, and [`GcError::Corrupt`] on an undecodable
+    /// header. The evacuated pages are released on this path too, so the
+    /// page accounting stays exact: every allocated page is either
+    /// released or owned by a live region. The object graph is not
+    /// repaired, though: `roots` and the copied objects may still point
+    /// into the released pages. After an error the heap is fit for
+    /// reading its statistics and for being dropped, not for further
+    /// allocation, reads or collection; callers treat the error as fatal
+    /// for the program under execution, as a real collector would crash.
     pub fn collect(&mut self, roots: &mut [Word], minor: bool) -> Result<(), GcError> {
         let _span = trace::span(if minor { "gc.minor" } else { "gc.major" }, "runtime");
         let pause_start = Instant::now();
         let copied_before = self.stats.bytes_copied;
-        // 1. Decide which pages get evacuated.
-        let evacuate: Vec<bool> = self
-            .pages
-            .iter()
-            .map(|p| {
-                p.live
-                    && self.regions[p.region.0 as usize].kind == RegionKind::Infinite
-                    && self.regions[p.region.0 as usize].live
-                    && (!minor || p.young)
-            })
-            .collect();
-        // Old pages of every collected region are detached so copies go to
-        // fresh pages; pages that are not evacuated stay put.
-        let mut old_pages: Vec<u32> = Vec::new();
-        for r in self.live_regions().to_vec() {
+        // 1. Detach the pages to evacuate from every live infinite region,
+        //    so copies go to fresh pages; pages that are not evacuated stay
+        //    put.
+        let mut from_space: Vec<u32> = Vec::new();
+        let pages = &mut self.pages;
+        for r in &self.live_regions {
             let region = &mut self.regions[r.0 as usize];
             if region.kind != RegionKind::Infinite {
                 continue;
             }
-            let (keep, evac): (Vec<u32>, Vec<u32>) =
-                region.pages.drain(..).partition(|p| !evacuate[*p as usize]);
-            region.pages = keep;
-            old_pages.extend(evac);
-        }
-        // 2. Forward the roots, then the remembered set (minor only),
-        //    then scan. Untagged (header-less) objects cannot hold an
-        //    in-place forwarding marker, so they forward through a side
-        //    table.
-        let mut queue: Vec<Word> = Vec::new();
-        let mut fwd: HashMap<u64, Word> = HashMap::new();
-        for w in roots.iter_mut() {
-            *w = self.forward(*w, &evacuate, &mut queue, &mut fwd, "root")?;
-        }
-        let remembered = std::mem::take(&mut self.remembered);
-        if minor {
-            for obj in remembered {
-                // The object itself is old (not moved); fix its fields.
-                if self.check_ptr(obj, "remembered").is_ok() {
-                    self.scan_object(obj, &evacuate, &mut queue, &mut fwd)?;
+            region.pages.retain(|&p| {
+                let page = &mut pages[p as usize];
+                let evacuate = !minor || page.young;
+                if evacuate {
+                    page.from_space = true;
+                    from_space.push(p);
                 }
-            }
+                !evacuate
+            });
         }
-        // Scan unmoved regions' pages in place: finite regions always; in
-        // a minor collection also the old pages of infinite regions are
-        // covered by the remembered set, so only finite-region young pages
-        // need a sweep here. For a major collection, scan all finite
-        // pages.
-        let in_place: Vec<u32> = self
-            .pages
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| {
-                p.live
-                    && !evacuate.get(*i).copied().unwrap_or(false)
-                    && self.regions[p.region.0 as usize].live
-                    && self.regions[p.region.0 as usize].kind == RegionKind::Finite
-                    && (!minor || p.young)
-            })
-            .map(|(i, _)| i as u32)
-            .collect();
-        for p in in_place {
-            self.scan_page(p, &evacuate, &mut queue, &mut fwd)?;
-        }
-        while let Some(obj) = queue.pop() {
-            self.scan_object(obj, &evacuate, &mut queue, &mut fwd)?;
-        }
-        // 3. Release the evacuated pages and reset generation marks.
-        for p in old_pages {
+        // 2. Trace from the roots.
+        let mut queue = std::mem::take(&mut self.gc_queue);
+        let traced = self.trace(roots, minor, &mut queue);
+        queue.clear();
+        self.gc_queue = queue;
+        self.remembered.clear();
+        // 3. Release the evacuated pages, whether or not the trace
+        //    succeeded: no region owns them any more.
+        for p in from_space {
             self.release_page(p);
         }
+        traced?;
         for p in &mut self.pages {
             p.young = false;
             if p.live {
@@ -191,31 +158,73 @@ impl Heap {
         Ok(())
     }
 
+    /// Forwards the roots, then the remembered set (minor only), then
+    /// the fields of finite regions' pages in place, then drains the
+    /// queue of copies. This order fixes where every copy lands, and so
+    /// every count a collection reports.
+    fn trace(
+        &mut self,
+        roots: &mut [Word],
+        minor: bool,
+        queue: &mut Vec<Word>,
+    ) -> Result<(), GcError> {
+        for w in roots.iter_mut() {
+            *w = self.forward(*w, queue, "root")?;
+        }
+        if minor {
+            for i in 0..self.remembered.len() {
+                // The object itself is old (not moved); fix its fields.
+                let obj = self.remembered[i];
+                if self.check_ptr(obj, "remembered").is_ok() {
+                    self.scan_object(obj, queue)?;
+                }
+            }
+        }
+        // Finite regions are never moved, so their pages are scanned in
+        // place: all of them in a major collection, the young ones in a
+        // minor one (older pages are covered by the remembered set).
+        // Pages handed out during the scan hold copies, which only
+        // infinite regions receive.
+        for page in 0..self.pages.len() {
+            let p = &self.pages[page];
+            let region = &self.regions[p.region.0 as usize];
+            if p.live && region.live && region.kind == RegionKind::Finite && (!minor || p.young) {
+                self.scan_page(page as u32, queue)?;
+            }
+        }
+        while let Some(obj) = queue.pop() {
+            self.scan_object(obj, queue)?;
+        }
+        Ok(())
+    }
+
     /// Forwards one word: immediates pass through; pointers into
     /// non-evacuated pages pass through; pointers into evacuated pages are
     /// copied (once) to fresh pages of their region.
+    ///
+    /// An evacuated tagged object is overwritten by a `Forward` header and
+    /// the new pointer. An untagged object has no header to overwrite:
+    /// its page's forwarding bit is set instead, and its word 0 holds the
+    /// new pointer.
     fn forward(
         &mut self,
         w: Word,
-        evacuate: &[bool],
         queue: &mut Vec<Word>,
-        fwd: &mut HashMap<u64, Word>,
         context: &'static str,
     ) -> Result<Word, GcError> {
         if !w.is_pointer() {
             return Ok(w);
         }
         let (page, off, epoch) = w.ptr_parts();
+        let off = off as usize;
         let p = self
             .pages
             .get(page as usize)
             .ok_or(GcError::DanglingPointer { context })?;
-        if !p.live || p.epoch != epoch {
+        if !p.live || p.epoch != epoch || off >= p.used {
             return Err(GcError::DanglingPointer { context });
         }
-        // Pages created during this collection (to-space) are never
-        // evacuated again.
-        if !evacuate.get(page as usize).copied().unwrap_or(false) {
+        if !p.from_space {
             // Not moving; if its region is dead, that's dangling too.
             if !self.regions[p.region.0 as usize].live {
                 return Err(GcError::DanglingPointer { context });
@@ -223,146 +232,123 @@ impl Heap {
             return Ok(w);
         }
         let region = p.region;
-        if let Some(u) = self.uniform_of_page(page) {
-            // Untagged object: side-table forwarding.
-            if let Some(new) = fwd.get(&w.0) {
-                return Ok(*new);
+        let new = match p.uniform {
+            Some(u) => {
+                let (slot, bit) = (off / 64, 1u64 << (off % 64));
+                if p.forwarded[slot] & bit != 0 {
+                    return Ok(Word(p.words[off]));
+                }
+                let new = self.copy_object(region, page, off, u.words());
+                let p = &mut self.pages[page as usize];
+                p.forwarded[slot] |= bit;
+                p.words[off] = new.0;
+                new
             }
-            let words = u.words();
-            let payload: Vec<u64> =
-                self.pages[page as usize].words[off as usize..off as usize + words].to_vec();
-            let header = Header {
-                kind: u.obj_kind(),
-                len: words as u32,
-                raw: 0,
-            };
-            let new = self.copy_object(region, header, &payload);
-            self.stats.bytes_copied += words as u64 * WORD_BYTES;
-            fwd.insert(w.0, new);
-            queue.push(new);
-            return Ok(new);
-        }
-        let header_word = p.words[off as usize];
-        let header = Header::decode(header_word).ok_or(GcError::Corrupt {
-            word: header_word,
-            page,
-            offset: off,
-            region: region.0,
-        })?;
-        if header.kind == ObjKind::Forward {
-            return Ok(Word(p.words[off as usize + 1]));
-        }
-        // Copy to a fresh page of the same region.
-        let payload: Vec<u64> =
-            p.words[off as usize + 1..off as usize + 1 + header.payload_words() as usize].to_vec();
-        let new = self.copy_object(region, header, &payload);
-        self.stats.bytes_copied += (payload.len() as u64 + 1) * WORD_BYTES;
-        // Leave a forwarding marker.
-        let p = &mut self.pages[page as usize];
-        p.words[off as usize] = Header {
-            kind: ObjKind::Forward,
-            len: header.len,
-            raw: header.raw,
-        }
-        .encode();
-        p.words[off as usize + 1] = new.0;
+            None => {
+                let word = p.words[off];
+                let header = Header::decode(word).ok_or(GcError::Corrupt {
+                    word,
+                    page,
+                    offset: off as u32,
+                    region: region.0,
+                })?;
+                if header.kind == ObjKind::Forward {
+                    return Ok(Word(p.words[off + 1]));
+                }
+                let n = 1 + header.payload_words() as usize;
+                let new = self.copy_object(region, page, off, n);
+                let p = &mut self.pages[page as usize];
+                p.words[off] = Header {
+                    kind: ObjKind::Forward,
+                    ..header
+                }
+                .encode();
+                p.words[off + 1] = new.0;
+                new
+            }
+        };
         queue.push(new);
         Ok(new)
     }
 
-    /// Raw copy used by the collector (does not count as program
-    /// allocation).
-    fn copy_object(
-        &mut self,
-        region: crate::heap::RegionId,
-        header: Header,
-        payload: &[u64],
-    ) -> Word {
-        let before_alloc = self.stats.bytes_allocated;
-        let before_objs = self.stats.objects_allocated;
-        let before_since = self.bytes_since_gc;
-        let before_bytes = self.regions[region.0 as usize].bytes;
-        let before_robjs = self.regions[region.0 as usize].objects;
-        let w = self.alloc_with_header(region, header, payload);
-        self.stats.bytes_allocated = before_alloc;
-        self.stats.objects_allocated = before_objs;
-        self.bytes_since_gc = before_since;
-        self.regions[region.0 as usize].bytes = before_bytes;
-        self.regions[region.0 as usize].objects = before_robjs;
-        w
+    /// Copies the `n` words at `src_off` of page `src_page` (an object,
+    /// with its header if it has one) to the end of `region`. A copy is
+    /// not program allocation: it counts only as bytes copied, and as a
+    /// page if it needs a fresh one.
+    fn copy_object(&mut self, region: RegionId, src_page: u32, src_off: usize, n: usize) -> Word {
+        let (dst_page, dst_off) = self.bump(region, n);
+        self.stats.bytes_copied += n as u64 * WORD_BYTES;
+        let (src, dst) = two_pages(&mut self.pages, src_page, dst_page);
+        dst.words[dst_off..dst_off + n].copy_from_slice(&src.words[src_off..src_off + n]);
+        Word::pointer(dst_page, dst_off as u32, dst.epoch)
     }
 
     /// Scans the traceable fields of one (already copied or in-place)
     /// object.
-    fn scan_object(
-        &mut self,
-        obj: Word,
-        evacuate: &[bool],
-        queue: &mut Vec<Word>,
-        fwd_table: &mut HashMap<u64, Word>,
-    ) -> Result<(), GcError> {
+    fn scan_object(&mut self, obj: Word, queue: &mut Vec<Word>) -> Result<(), GcError> {
         let (page, off) = self
             .check_ptr(obj, "scan")
             .map_err(|_| GcError::DanglingPointer { context: "scan" })?;
-        let (start, end, skip) = match self.uniform_of_page(page) {
-            Some(u) => (0, u.words(), 0),
-            None => {
-                let word = self.pages[page as usize].words[off as usize];
-                let header = Header::decode(word).ok_or(GcError::Corrupt {
-                    word,
-                    page,
-                    offset: off,
-                    region: self.pages[page as usize].region.0,
-                })?;
-                if header.kind == ObjKind::Str {
-                    return Ok(());
-                }
-                (header.raw as usize, header.len as usize, 1)
-            }
-        };
-        for i in start..end {
-            let field = Word(self.pages[page as usize].words[off as usize + skip + i]);
-            let fwd = self.forward(field, evacuate, queue, fwd_table, "object field")?;
-            self.pages[page as usize].words[off as usize + skip + i] = fwd.0;
+        self.scan_fields(page, off as usize, queue).map(drop)
+    }
+
+    /// Scans every object of a page in place.
+    fn scan_page(&mut self, page: u32, queue: &mut Vec<Word>) -> Result<(), GcError> {
+        let mut off = 0;
+        while off < self.pages[page as usize].used {
+            off += self.scan_fields(page, off, queue)?;
         }
         Ok(())
     }
 
-    /// Scans every object of a page in place.
-    fn scan_page(
+    /// Forwards the traceable fields of the object at word `off` of
+    /// `page`; returns the object's size in words.
+    fn scan_fields(
         &mut self,
         page: u32,
-        evacuate: &[bool],
+        off: usize,
         queue: &mut Vec<Word>,
-        fwd_table: &mut HashMap<u64, Word>,
-    ) -> Result<(), GcError> {
-        let uniform = self.uniform_of_page(page);
-        let mut off = 0usize;
-        loop {
-            let (used, epoch) = {
-                let p = &self.pages[page as usize];
-                (p.used, p.epoch)
-            };
-            if off >= used {
-                return Ok(());
-            }
-            let w = Word::pointer(page, off as u32, epoch);
-            let size = match uniform {
-                Some(u) => u.words(),
-                None => {
-                    let word = self.pages[page as usize].words[off];
-                    let header = Header::decode(word).ok_or(GcError::Corrupt {
-                        word,
-                        page,
-                        offset: off as u32,
-                        region: self.pages[page as usize].region.0,
-                    })?;
-                    1 + header.payload_words() as usize
+    ) -> Result<usize, GcError> {
+        let p = &self.pages[page as usize];
+        let (fields, size) = match p.uniform {
+            Some(u) => (off..off + u.words(), u.words()),
+            None => {
+                let word = p.words[off];
+                let header = Header::decode(word).ok_or(GcError::Corrupt {
+                    word,
+                    page,
+                    offset: off as u32,
+                    region: p.region.0,
+                })?;
+                let size = 1 + header.payload_words() as usize;
+                if header.kind == ObjKind::Str {
+                    return Ok(size);
                 }
-            };
-            self.scan_object(w, evacuate, queue, fwd_table)?;
-            off += size;
+                let first = off + 1 + header.raw as usize;
+                (first..off + 1 + header.len as usize, size)
+            }
+        };
+        for i in fields {
+            let field = Word(self.pages[page as usize].words[i]);
+            if field.is_pointer() {
+                let new = self.forward(field, queue, "object field")?;
+                self.pages[page as usize].words[i] = new.0;
+            }
         }
+        Ok(size)
+    }
+}
+
+/// Borrows page `src` shared and page `dst` mutably; they must differ.
+fn two_pages(pages: &mut [Page], src: u32, dst: u32) -> (&Page, &mut Page) {
+    let (src, dst) = (src as usize, dst as usize);
+    debug_assert_ne!(src, dst, "a copy never lands on its own from-space page");
+    if src < dst {
+        let (lo, hi) = pages.split_at_mut(dst);
+        (&lo[src], &mut hi[0])
+    } else {
+        let (lo, hi) = pages.split_at_mut(src);
+        (&hi[0], &mut lo[dst])
     }
 }
 
@@ -373,6 +359,13 @@ mod tests {
 
     fn pair(h: &mut Heap, r: crate::heap::RegionId, a: Word, b: Word) -> Word {
         h.alloc(r, ObjKind::Pair, 0, &[a.0, b.0])
+    }
+
+    pub(super) fn pages_owned_by_live_regions(h: &Heap) -> u64 {
+        h.live_regions()
+            .iter()
+            .map(|r| h.regions[r.0 as usize].pages.len() as u64)
+            .sum()
     }
 
     #[test]
@@ -467,6 +460,10 @@ mod tests {
         let mut roots = [closure_like];
         let err = h.collect(&mut roots, false).unwrap_err();
         assert!(matches!(err, GcError::DanglingPointer { .. }));
+        // The failed collection still released the pages it detached.
+        let owned = pages_owned_by_live_regions(&h);
+        assert_eq!(h.stats.pages_allocated - h.stats.pages_released, owned);
+        assert_eq!(h.live_words(), owned * crate::heap::PAGE_WORDS as u64);
     }
 
     #[test]
@@ -603,7 +600,7 @@ mod untagged_tests {
         h.collect(&mut roots, false).unwrap();
         let a = h.field(roots[0], 0, "t").unwrap();
         let b = h.field(roots[0], 1, "t").unwrap();
-        assert_eq!(a, b, "side-table forwarding must preserve sharing");
+        assert_eq!(a, b, "in-page forwarding must preserve sharing");
         assert_eq!(h.field(a, 0, "t").unwrap(), Word::int(1));
         assert_eq!(h.region_of(a, "t").unwrap(), u, "region identity");
     }
@@ -634,6 +631,105 @@ mod untagged_tests {
         h.collect(&mut roots, false).unwrap();
         assert!(h.live_words() < before / 4);
         assert_eq!(h.field(roots[0], 0, "t").unwrap(), Word::int(1));
+    }
+
+    fn upair(h: &mut Heap, r: crate::heap::RegionId, a: i64, b: i64) -> Word {
+        h.alloc(r, ObjKind::Pair, 0, &[Word::int(a).0, Word::int(b).0])
+    }
+
+    fn page_of(w: Word) -> u32 {
+        w.ptr_parts().0
+    }
+
+    #[test]
+    fn forwarding_bits_do_not_survive_page_recycling() {
+        let mut h = Heap::new();
+        let u = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Pair));
+        let mut roots: Vec<Word> = (0..300).map(|i| upair(&mut h, u, i, -i)).collect();
+        let forwarded_pages: Vec<u32> = roots.iter().map(|w| page_of(*w)).collect();
+        // Every object is forwarded, so every from-space page ends the
+        // collection with its forwarding bits set.
+        h.collect(&mut roots, false).unwrap();
+        h.drop_region(u);
+        let v = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Pair));
+        let mut roots: Vec<Word> = (0..600).map(|i| upair(&mut h, v, 1000 + i, i)).collect();
+        assert!(
+            roots.iter().any(|w| forwarded_pages.contains(&page_of(*w))),
+            "the second batch must reuse the first collection's from-space pages"
+        );
+        h.collect(&mut roots, false).unwrap();
+        h.verify(&roots).unwrap();
+        for (i, w) in roots.iter().enumerate() {
+            assert_eq!(h.field(*w, 0, "t").unwrap(), Word::int(1000 + i as i64));
+            assert_eq!(h.field(*w, 1, "t").unwrap(), Word::int(i as i64));
+        }
+    }
+
+    #[test]
+    fn shared_untagged_ref_is_copied_once() {
+        let mut h = Heap::new();
+        let u = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Ref));
+        let fin = h.create_region(RegionKind::Finite);
+        let cell = h.alloc(u, ObjKind::Ref, 0, &[Word::int(5).0]);
+        // Two holders in a finite region: scanned in place, never copied.
+        let a = h.alloc(fin, ObjKind::Pair, 0, &[cell.0, Word::int(0).0]);
+        let b = h.alloc(fin, ObjKind::Pair, 0, &[Word::int(0).0, cell.0]);
+        let before = h.stats.bytes_copied;
+        h.collect(&mut [], false).unwrap();
+        assert_eq!(h.stats.bytes_copied - before, WORD_BYTES, "one word, once");
+        let from_a = h.field(a, 0, "t").unwrap();
+        assert_ne!(from_a, cell, "the cell moved");
+        assert_eq!(from_a, h.field(b, 1, "t").unwrap(), "sharing preserved");
+        assert_eq!(h.field(from_a, 0, "t").unwrap(), Word::int(5));
+    }
+
+    #[test]
+    fn young_untagged_object_survives_through_the_remembered_set() {
+        let mut h = Heap::new();
+        h.generational = true;
+        let refs = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Ref));
+        let conses = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Cons));
+        let mut roots = [h.alloc(refs, ObjKind::Ref, 0, &[Word::UNIT.0])];
+        h.collect(&mut roots, false).unwrap(); // the cell is now old
+        let old = roots[0];
+        let young = h.alloc(conses, ObjKind::Cons, 0, &[Word::int(42).0, Word::NIL.0]);
+        h.set_field(old, 0, young, "t").unwrap();
+        assert_eq!(h.remembered, [old], "write barrier must record");
+        // No root reaches `young` except through the old cell.
+        let mut roots: [Word; 0] = [];
+        h.collect(&mut roots, true).unwrap();
+        let moved = h.field(old, 0, "t").unwrap();
+        assert_ne!(moved, young, "the young cons was evacuated");
+        assert_eq!(h.field(moved, 0, "t").unwrap(), Word::int(42));
+        assert_eq!(h.field(moved, 1, "t").unwrap(), Word::NIL);
+        h.verify(&[old]).unwrap();
+    }
+
+    #[test]
+    fn stale_pointer_into_recycled_untagged_page_still_dangles() {
+        // The victim's page is recycled into a live untagged region and
+        // the object now at the victim's offset is forwarded first: the
+        // stale pointer must fail the epoch test, not read the new
+        // object's forwarding pointer.
+        let mut h = Heap::new();
+        let live = h.create_region(RegionKind::Infinite);
+        let dead = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Pair));
+        let victim = upair(&mut h, dead, 1, 2);
+        let holder = h.alloc(live, ObjKind::Pair, 0, &[victim.0, Word::int(0).0]);
+        h.drop_region(dead);
+        let u = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Pair));
+        let neighbour = upair(&mut h, u, 3, 4);
+        assert_eq!(page_of(neighbour), page_of(victim), "page recycled");
+        assert_eq!(neighbour.ptr_parts().1, victim.ptr_parts().1, "same offset");
+        let mut roots = [neighbour, holder];
+        assert_eq!(
+            h.collect(&mut roots, false),
+            Err(GcError::DanglingPointer {
+                context: "object field"
+            })
+        );
+        let owned = super::tests::pages_owned_by_live_regions(&h);
+        assert_eq!(h.stats.pages_allocated - h.stats.pages_released, owned);
     }
 
     #[test]

@@ -56,13 +56,27 @@ impl UniformKind {
     }
 }
 
+/// Words in a page's forwarding bitmap: one bit per word of a regular
+/// page.
+const FORWARD_BITMAP_WORDS: usize = PAGE_WORDS / 64;
+
 #[derive(Debug)]
 pub(crate) struct Page {
     pub words: Vec<u64>,
     pub used: usize,
     pub region: RegionId,
+    /// The owning region's untagged layout, cached so a pointer's layout
+    /// costs one page lookup.
+    pub uniform: Option<UniformKind>,
     pub epoch: u16,
     pub live: bool,
+    /// Being evacuated by the collection in progress.
+    pub from_space: bool,
+    /// Untagged objects evacuated by the collection in progress: bit
+    /// `off` is set once the object at word `off` has been copied and its
+    /// word 0 overwritten with the new pointer. Untagged pages are always
+    /// regular-sized, so the bitmap covers them.
+    pub forwarded: [u64; FORWARD_BITMAP_WORDS],
     /// Generation stamp: pages allocated after the last collection are
     /// "young" (used by the generational mode).
     pub young: bool,
@@ -93,7 +107,7 @@ pub struct Heap {
     pub(crate) pages: Vec<Page>,
     free_pages: Vec<u32>,
     pub(crate) regions: Vec<Region>,
-    live_regions: Vec<RegionId>,
+    pub(crate) live_regions: Vec<RegionId>,
     /// Statistics.
     pub stats: HeapStats,
     /// One record per collection, in order — the series behind the
@@ -106,6 +120,9 @@ pub struct Heap {
     /// Remembered set for the generational mode: addresses of old-page
     /// object *fields* that were mutated to point at young objects.
     pub(crate) remembered: Vec<Word>,
+    /// The collector's queue of copies still to scan, kept between
+    /// collections so its buffer is reused.
+    pub(crate) gc_queue: Vec<Word>,
     /// Generational mode switch.
     pub generational: bool,
 }
@@ -176,11 +193,15 @@ impl Heap {
     pub(crate) fn release_page(&mut self, p: u32) {
         let page = &mut self.pages[p as usize];
         page.live = false;
+        page.from_space = false;
         page.epoch = page.epoch.wrapping_add(1);
         page.used = 0;
         self.stats.live_words -= page.words.len() as u64;
-        page.words.clear();
-        page.words.shrink_to_fit();
+        // A regular page keeps its buffer for its next owner; an oversized
+        // one gives its memory back.
+        if page.words.len() != PAGE_WORDS {
+            page.words = Vec::new();
+        }
         self.stats.pages_released += 1;
         self.free_pages.push(p);
     }
@@ -212,18 +233,29 @@ impl Heap {
                     words: Vec::new(),
                     used: 0,
                     region,
+                    uniform: None,
                     epoch: 0,
                     live: false,
+                    from_space: false,
+                    forwarded: [0; FORWARD_BITMAP_WORDS],
                     young: true,
                     sealed: false,
                 });
                 i
             }
         };
+        let uniform = self.regions[region.0 as usize].uniform;
         let page = &mut self.pages[idx as usize];
-        page.words = vec![0; capacity.max(PAGE_WORDS)];
+        let len = capacity.max(PAGE_WORDS);
+        if page.words.len() == len {
+            page.words.fill(0);
+        } else {
+            page.words = vec![0; len];
+        }
         page.used = 0;
         page.region = region;
+        page.uniform = uniform;
+        page.forwarded = [0; FORWARD_BITMAP_WORDS];
         page.live = true;
         page.young = true;
         page.sealed = false;
@@ -285,7 +317,31 @@ impl Heap {
             .map(|u| u.obj_kind() == header.kind && u.words() == payload.len())
             .unwrap_or(false);
         let need = payload.len() + if untagged { 0 } else { 1 };
-        let page_idx = match region.pages.last() {
+        let (page_idx, off) = self.bump(r, need);
+        let page = &mut self.pages[page_idx as usize];
+        if untagged {
+            page.words[off..off + need].copy_from_slice(payload);
+        } else {
+            page.words[off] = header.encode();
+            page.words[off + 1..off + need].copy_from_slice(payload);
+        }
+        let bytes = need as u64 * WORD_BYTES;
+        self.regions[r.0 as usize].bytes += bytes;
+        self.regions[r.0 as usize].objects += 1;
+        self.stats.bytes_allocated += bytes;
+        self.stats.objects_allocated += 1;
+        self.bytes_since_gc += bytes;
+        // The pointer addresses the header word.
+        Word::pointer(page_idx, off as u32, self.pages[page_idx as usize].epoch)
+    }
+
+    /// Reserves `need` words at the end of region `r`, on its last page
+    /// if that is unsealed and has room, else on a fresh page. Returns the
+    /// page and the word offset. The mutator and the collector place
+    /// objects through this one rule, so a collection's page count does
+    /// not depend on who allocates.
+    pub(crate) fn bump(&mut self, r: RegionId, need: usize) -> (u32, usize) {
+        let page_idx = match self.regions[r.0 as usize].pages.last() {
             Some(&p)
                 if !self.pages[p as usize].sealed
                     && self.pages[p as usize].used + need <= self.pages[p as usize].words.len() =>
@@ -300,21 +356,8 @@ impl Heap {
         };
         let page = &mut self.pages[page_idx as usize];
         let off = page.used;
-        if untagged {
-            page.words[off..off + need].copy_from_slice(payload);
-        } else {
-            page.words[off] = header.encode();
-            page.words[off + 1..off + need].copy_from_slice(payload);
-        }
         page.used += need;
-        let bytes = need as u64 * WORD_BYTES;
-        self.regions[r.0 as usize].bytes += bytes;
-        self.regions[r.0 as usize].objects += 1;
-        self.stats.bytes_allocated += bytes;
-        self.stats.objects_allocated += 1;
-        self.bytes_since_gc += bytes;
-        // The pointer addresses the header word.
-        Word::pointer(page_idx, off as u32, self.pages[page_idx as usize].epoch)
+        (page_idx, off)
     }
 
     /// Checks a pointer and returns `(page, offset)` on success.
@@ -332,7 +375,7 @@ impl Heap {
 
     /// The uniform layout of the object's region, if untagged.
     pub(crate) fn uniform_of_page(&self, page: u32) -> Option<UniformKind> {
-        self.regions[self.pages[page as usize].region.0 as usize].uniform
+        self.pages[page as usize].uniform
     }
 
     /// Reads an object's header (synthesised for untagged regions).

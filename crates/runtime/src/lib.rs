@@ -30,6 +30,9 @@
 // structured errors, never via panicking escape hatches. Test modules
 // (compiled only under `cfg(test)`) are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// The collector and the heap are safe Rust: pages are split with
+// `split_at_mut`, not aliased through raw pointers.
+#![forbid(unsafe_code)]
 
 pub mod gc;
 pub mod heap;

@@ -100,6 +100,59 @@ fn rg_rgminus_execute_the_same_number_of_steps() {
     }
 }
 
+/// The collector's deterministic counts per suite program under the
+/// `gc` benchmark workload's schedule (a collection every 1024 steps,
+/// verification off): collections, bytes copied, pages allocated and
+/// peak heap bytes. A collector change that alters what it copies, where
+/// it copies to or the order it visits objects in moves one of them.
+const PINNED_GC: &[(&str, [u64; 4])] = &[
+    ("fib", [1007, 88616, 2052, 81920]),
+    ("tak", [16232, 8652912, 97432, 90112]),
+    ("mandelbrot", [1283, 529488, 20167, 137216]),
+    ("msort", [201, 2328480, 4289, 147456]),
+    ("msort-rf", [153, 1022912, 2783, 139264]),
+    ("life", [1146, 2045096, 36615, 151552]),
+    ("queens", [133, 176896, 4596, 157696]),
+    ("logic", [781, 591048, 22751, 116736]),
+    ("perm", [1556, 403402832, 252232, 1060864]),
+    ("ratio", [5, 1256, 135, 116736]),
+    ("strings", [4, 896, 431, 86016]),
+    ("compose", [5, 10376, 137, 141312]),
+    ("matrix", [555, 3025352, 14039, 147456]),
+    ("tsp", [118, 143112, 2480, 112640]),
+    ("sieve", [85, 75600, 931, 92160]),
+    ("mpuz", [99, 30544, 1061, 102400]),
+    ("dlx", [2494, 1231544, 61228, 118784]),
+    ("exceptions", [861, 1028032, 8364, 102400]),
+];
+
+#[test]
+fn stress_collections_copy_the_pinned_amounts() {
+    let names: Vec<&str> = rml::programs::suite().iter().map(|p| p.name).collect();
+    let pinned: Vec<&str> = PINNED_GC.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, pinned);
+    for (name, want) in PINNED_GC {
+        let owned = name.to_string();
+        let s = rml::run_with_big_stack(move || {
+            let p = rml::programs::by_name(&owned).unwrap();
+            let c = compile_with_basis(p.source, Strategy::Rg).unwrap();
+            let opts = ExecOpts {
+                gc: Some(rml_eval::GcPolicy::stress_every(1024, 1)),
+                verify: Some(rml_eval::VerifyLevel::Off),
+                ..ExecOpts::default()
+            };
+            execute(&c, &opts).unwrap().stats
+        });
+        let got = [
+            s.gc_count,
+            s.bytes_copied,
+            s.pages_allocated,
+            s.peak_bytes(),
+        ];
+        assert_eq!(&got, want, "{name}: [gc, copied, pages, peak]");
+    }
+}
+
 #[test]
 fn fcns_and_inst_columns_are_program_relative() {
     rml::run_with_big_stack(|| {
