@@ -1,7 +1,7 @@
 //! Runs the differential torture oracle over the whole benchmark suite.
 //!
 //! ```sh
-//! cargo run --release -p rml-bench --bin torture [seed]
+//! cargo run --release -p rml-bench --bin torture
 //! ```
 //!
 //! Every suite program is run under every strategy × every GC schedule
@@ -19,20 +19,23 @@
 //!   schedule-independent, so running out of fuel is itself a
 //!   deterministic, agreeing outcome.
 //!
-//! Exit status is non-zero when any program diverges.
+//! Exit status is non-zero when any program diverges, and 2 on any
+//! command-line argument (the binary takes none).
 
 fn main() {
-    // Present-but-unparsable values fail loudly (exit 2): a typo like
+    if let Some(a) = std::env::args().nth(1) {
+        eprintln!("error: unexpected argument `{a}`; usage: torture (no arguments)");
+        std::process::exit(2);
+    }
+    // A present-but-unparsable value fails loudly (exit 2): a typo like
     // `RML_TORTURE_FUEL=2m` must not silently torture with the default.
-    let seed = rml_bench::arg_u64(1, "seed", 0x7041_10E5);
     let fuel = rml_bench::env_u64("RML_TORTURE_FUEL", 2_000_000);
     let opts = rml::torture::TortureOpts {
-        seed,
         fuel,
         with_basis: true,
         ..Default::default()
     };
-    eprintln!("torturing the suite (seed {seed:#x}, fuel {fuel})...");
+    eprintln!("torturing the suite (fuel {fuel})...");
     let t0 = std::time::Instant::now();
     let reports = rml_bench::differential(&opts);
     let wall = t0.elapsed();

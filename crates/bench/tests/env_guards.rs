@@ -1,7 +1,8 @@
 //! Regression tests for the benchmark binaries' loud env/arg parsing:
-//! `RML_TORTURE_FUEL=2m` or a non-numeric positional argument must fail
-//! with a diagnostic and exit 2 — the old `.parse().ok().unwrap_or(...)`
-//! pattern silently ran with the default budget.
+//! `RML_TORTURE_FUEL=2m`, a non-numeric positional argument, or an
+//! argument where none is taken must fail with a diagnostic and exit 2 —
+//! the old `.parse().ok().unwrap_or(...)` pattern silently ran with the
+//! default budget.
 //!
 //! Only the *failure* paths are spawned (they exit at startup, before
 //! any compilation); the defaulting path is covered as a unit test.
@@ -21,14 +22,16 @@ fn torture_rejects_unparsable_fuel_env() {
 }
 
 #[test]
-fn torture_rejects_unparsable_seed_arg() {
-    let out = Command::new(env!("CARGO_BIN_EXE_torture"))
-        .arg("0xbad")
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "{:?}", out.status);
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("seed"), "stderr: {err}");
+fn torture_rejects_arguments() {
+    for arg in ["0xbad", "7"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_torture"))
+            .arg(arg)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{arg}: {:?}", out.status);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(arg), "{arg}: stderr: {err}");
+    }
 }
 
 #[test]

@@ -35,10 +35,9 @@ fn bind(act: &Act, slot: Slot, w: u64) {
 
 /// A deterministic adversarial collection schedule (the torture rig).
 ///
-/// All scheduling decisions derive from the machine step counter, the
-/// allocation counter, and a [`Xorshift64`] stream seeded from `seed` —
-/// never from ambient randomness — so the same seed always produces the
-/// same schedule and therefore the same run outcome.
+/// Every scheduling decision derives from the machine step counter and
+/// the allocation counter, so the same schedule always collects at the
+/// same steps and produces the same run outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StressSchedule {
     /// Force a collection every `period` machine steps (0 disables the
@@ -46,11 +45,6 @@ pub struct StressSchedule {
     pub period: u64,
     /// Force a collection after every allocation.
     pub every_alloc: bool,
-    /// Seed for the minor/major interleaving stream.
-    pub seed: u64,
-    /// Interleave minor (young-generation) and major collections,
-    /// chosen by the seeded PRNG.
-    pub generational: bool,
 }
 
 /// Collection policy.
@@ -65,8 +59,6 @@ pub enum GcPolicy {
         min_bytes: u64,
         /// Heap-growth ratio.
         ratio: f64,
-        /// Use the generational (minor/major) scheme.
-        generational: bool,
     },
     /// Adversarial deterministic schedule (collect far more often than
     /// any heuristic would, to surface latent dangling pointers at the
@@ -80,50 +72,25 @@ impl GcPolicy {
         GcPolicy::On {
             min_bytes: 64 * 1024,
             ratio: 1.5,
-            generational: false,
         }
     }
 
-    /// Collect every `period` steps (deterministic; no PRNG involvement
-    /// unless combined with [`StressSchedule::generational`]).
-    pub fn stress_every(period: u64, seed: u64) -> GcPolicy {
+    /// Collect every `period` steps. `_seed` is ignored: schedules are
+    /// plain periods, and the argument stays only for existing callers.
+    pub fn stress_every(period: u64, _seed: u64) -> GcPolicy {
         GcPolicy::Stress(StressSchedule {
             period,
             every_alloc: false,
-            seed,
-            generational: false,
         })
     }
 
     /// Collect at every machine step *and* after every allocation — the
     /// most adversarial schedule.
-    pub fn stress_every_step(seed: u64) -> GcPolicy {
+    pub fn stress_every_step() -> GcPolicy {
         GcPolicy::Stress(StressSchedule {
             period: 1,
             every_alloc: true,
-            seed,
-            generational: false,
         })
-    }
-
-    /// Like [`GcPolicy::stress_every`], but randomly (seeded) interleaves
-    /// minor and major collections.
-    pub fn stress_generational(period: u64, seed: u64) -> GcPolicy {
-        GcPolicy::Stress(StressSchedule {
-            period,
-            every_alloc: false,
-            seed,
-            generational: true,
-        })
-    }
-
-    /// Does the policy run the heap in generational mode?
-    pub fn generational(&self) -> bool {
-        match self {
-            GcPolicy::Off => false,
-            GcPolicy::On { generational, .. } => *generational,
-            GcPolicy::Stress(s) => s.generational,
-        }
     }
 }
 
@@ -415,10 +382,6 @@ struct Machine<'a> {
     opts: &'a RunOpts,
     global_region: RegionId,
     gc_pending: bool,
-    collections_since_major: u32,
-    /// Seeded PRNG driving minor/major interleaving under stress
-    /// schedules; the only source of "randomness" in the machine.
-    rng: rml_runtime::Xorshift64,
     /// Allocation count at the last stress check (for the
     /// collect-after-every-allocation trigger).
     last_alloc_objects: u64,
@@ -440,12 +403,7 @@ type MResult<T> = Result<T, RunError>;
 pub fn run(term: &Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
     let prog = crate::code::lower(term, opts)?;
     let mut heap = Heap::new();
-    heap.generational = opts.gc.generational();
     let global_region = heap.create_region(RegionKind::Infinite);
-    let seed = match opts.gc {
-        GcPolicy::Stress(s) => s.seed,
-        _ => 0,
-    };
     // The top-level frame: the global region, then the program's residual
     // free region variables (e.g. regions of the final result value),
     // which live for the whole run like the global region.
@@ -467,8 +425,6 @@ pub fn run(term: &Term, opts: &RunOpts) -> Result<RunOutcome, RunError> {
         opts,
         global_region,
         gc_pending: false,
-        collections_since_major: 0,
-        rng: rml_runtime::Xorshift64::new(seed),
         last_alloc_objects: 0,
         last_alloc_bytes: u64::MAX,
         payload: Vec::new(),
@@ -522,7 +478,7 @@ impl<'a> Machine<'a> {
 
     fn dangling<T>(&self, e: rml_runtime::heap::DanglingAccess) -> MResult<T> {
         // The step stamp makes the determinism contract checkable: the
-        // same seed must reproduce the same failure at the same step.
+        // same schedule must reproduce the same failure at the same step.
         Err(RunError::Dangling(format!("{e} at step {}", self.steps)))
     }
 
@@ -577,18 +533,13 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    /// Decides whether (and how) to collect this step. Returns
-    /// `(minor, forced)` when a collection is due; `forced` marks
-    /// collections demanded by a stress schedule or `forcegc` rather than
-    /// the allocation heuristic.
-    fn gc_decision(&mut self) -> Option<(bool, bool)> {
+    /// Decides whether to collect this step. Returns `Some(forced)` when
+    /// a collection is due; `forced` marks collections demanded by a
+    /// stress schedule or `forcegc` rather than the allocation heuristic.
+    fn gc_decision(&mut self) -> Option<bool> {
         match self.opts.gc {
             GcPolicy::Off => None,
-            GcPolicy::On {
-                min_bytes,
-                ratio,
-                generational,
-            } => {
+            GcPolicy::On { min_bytes, ratio } => {
                 let forced = self.gc_pending;
                 // The heuristic only changes its answer after an allocation.
                 let allocated = self.heap.stats.bytes_allocated;
@@ -599,13 +550,7 @@ impl<'a> Machine<'a> {
                     self.last_alloc_bytes = allocated;
                     return None;
                 }
-                let minor = generational && self.collections_since_major < 4;
-                if minor {
-                    self.collections_since_major += 1;
-                } else {
-                    self.collections_since_major = 0;
-                }
-                Some((minor, forced))
+                Some(forced)
             }
             GcPolicy::Stress(s) => {
                 let allocs = self.heap.stats.objects_allocated;
@@ -615,10 +560,7 @@ impl<'a> Machine<'a> {
                 if !self.gc_pending && !alloc_trigger && !step_trigger {
                     return None;
                 }
-                // Minor three steps out of four, decided by the seeded
-                // stream — deterministic for a given seed.
-                let minor = s.generational && self.rng.chance(3, 4);
-                Some((minor, true))
+                Some(true)
             }
         }
     }
@@ -693,12 +635,12 @@ impl<'a> Machine<'a> {
         let cells = self.gather_roots(ctrl);
         // Two-phase: read all roots, collect, write back.
         let mut roots: Vec<Word> = cells.iter().map(|c| Word(unsafe { &**c }.get())).collect();
-        if let Some((minor, forced)) = decision {
+        if let Some(forced) = decision {
             self.gc_pending = false;
             if forced {
                 self.heap.stats.forced_gcs += 1;
             }
-            match self.heap.collect(&mut roots, minor) {
+            match self.heap.collect(&mut roots) {
                 Ok(()) => {}
                 Err(GcError::DanglingPointer { context }) => {
                     return Err(RunError::Dangling(format!(

@@ -24,7 +24,6 @@ fn run_rg(src: &str) -> RunValue {
     opts.gc = GcPolicy::On {
         min_bytes: 512,
         ratio: 1.1,
-        generational: false,
     };
     run(&out.term, &opts).expect("run failed").value
 }
@@ -202,28 +201,10 @@ fn gc_bounds_memory_for_region_unfriendly_code() {
     opts.gc = GcPolicy::On {
         min_bytes: 8 * 1024,
         ratio: 1.2,
-        generational: false,
     };
     let res = run(&out.term, &opts).unwrap();
     assert_eq!(res.value, RunValue::Int(1));
     assert!(res.stats.gc_count > 0);
-}
-
-#[test]
-fn generational_mode_runs() {
-    let src = "fun upto n = if n = 0 then nil else n :: upto (n - 1) \
-               fun sum xs = case xs of nil => 0 | h :: t => h + sum t \
-               fun main () = sum (upto 2000)";
-    let out = compile(src, Strategy::Rg);
-    let mut opts = RunOpts::new(out.global);
-    opts.gc = GcPolicy::On {
-        min_bytes: 4 * 1024,
-        ratio: 1.2,
-        generational: true,
-    };
-    let res = run(&out.term, &opts).unwrap();
-    assert_eq!(res.value, RunValue::Int(2001000));
-    assert!(res.stats.minor_gc_count > 0, "stats: {:?}", res.stats);
 }
 
 #[test]

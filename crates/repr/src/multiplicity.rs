@@ -1,7 +1,7 @@
 //! Multiplicity analysis: finite vs infinite regions.
 //!
 //! A `letregion`-bound region is *finite* when every allocation into it
-//! executes at most once per region lifetime. The conservative criterion
+//! executes at most once per region lifetime. The conservative condition
 //! used here (a simplification of the MLKit's polymorphic multiplicity
 //! analysis \[6\]):
 //!

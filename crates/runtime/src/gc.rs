@@ -12,10 +12,6 @@
 //! stops with [`GcError::DanglingPointer`]. This is precisely the
 //! situation the paper's type system rules out, and precisely what the
 //! benchmark strategy `rg-` provokes on the program of Figure 1.
-//!
-//! A generational mode collects only pages allocated since the last
-//! collection ("young" pages), using the write-barrier-maintained
-//! remembered set for old-to-young pointers.
 
 use crate::heap::{Heap, Page, RegionId, RegionKind};
 use crate::stats::GcPause;
@@ -69,8 +65,8 @@ impl std::fmt::Display for GcError {
 impl std::error::Error for GcError {}
 
 impl Heap {
-    /// Performs a tracing collection. `roots` are updated in place; pass
-    /// `minor = true` for a generational (young-pages-only) collection.
+    /// Performs a tracing collection from `roots`, which are updated in
+    /// place.
     ///
     /// # Errors
     ///
@@ -84,52 +80,45 @@ impl Heap {
     /// reading its statistics and for being dropped, not for further
     /// allocation, reads or collection; callers treat the error as fatal
     /// for the program under execution, as a real collector would crash.
-    pub fn collect(&mut self, roots: &mut [Word], minor: bool) -> Result<(), GcError> {
-        let _span = trace::span(if minor { "gc.minor" } else { "gc.major" }, "runtime");
+    pub fn collect(&mut self, roots: &mut [Word]) -> Result<(), GcError> {
+        let _span = trace::span("gc.collect", "runtime");
         let pause_start = Instant::now();
         let copied_before = self.stats.bytes_copied;
-        // 1. Detach the pages to evacuate from every live infinite region,
-        //    so copies go to fresh pages; pages that are not evacuated stay
-        //    put.
+        // 1. Detach every page of every live infinite region, so copies
+        //    go to fresh pages.
         let mut from_space: Vec<u32> = Vec::new();
-        let pages = &mut self.pages;
         for r in &self.live_regions {
             let region = &mut self.regions[r.0 as usize];
             if region.kind != RegionKind::Infinite {
                 continue;
             }
-            region.pages.retain(|&p| {
-                let page = &mut pages[p as usize];
-                let evacuate = !minor || page.young;
-                if evacuate {
-                    page.from_space = true;
-                    from_space.push(p);
-                }
-                !evacuate
-            });
+            for p in region.pages.drain(..) {
+                self.pages[p as usize].from_space = true;
+                from_space.push(p);
+            }
         }
         // 2. Trace from the roots.
         let mut queue = std::mem::take(&mut self.gc_queue);
-        let traced = self.trace(roots, minor, &mut queue);
+        let traced = self.trace(roots, &mut queue);
         queue.clear();
         self.gc_queue = queue;
-        self.remembered.clear();
         // 3. Release the evacuated pages, whether or not the trace
         //    succeeded: no region owns them any more.
         for p in from_space {
             self.release_page(p);
         }
         traced?;
+        // 4. Seal every surviving page, so the mutator's next allocation
+        //    in each region opens a fresh page instead of filling the tail
+        //    of a page the collector copied into or scanned in place. This
+        //    is a layout rule, not a safety one, but every page and peak
+        //    count the benchmark pins is measured under it.
         for p in &mut self.pages {
-            p.young = false;
             if p.live {
-                p.sealed = true; // never mix generations within a page
+                p.sealed = true;
             }
         }
         self.stats.gc_count += 1;
-        if minor {
-            self.stats.minor_gc_count += 1;
-        }
         self.bytes_since_gc = 0;
         self.live_after_gc = self
             .pages
@@ -141,7 +130,6 @@ impl Heap {
             duration: pause_start.elapsed(),
             bytes_copied: self.stats.bytes_copied - copied_before,
             live_bytes: self.live_after_gc,
-            minor,
         };
         self.pauses.push(pause);
         if trace::enabled() {
@@ -158,37 +146,20 @@ impl Heap {
         Ok(())
     }
 
-    /// Forwards the roots, then the remembered set (minor only), then
-    /// the fields of finite regions' pages in place, then drains the
-    /// queue of copies. This order fixes where every copy lands, and so
-    /// every count a collection reports.
-    fn trace(
-        &mut self,
-        roots: &mut [Word],
-        minor: bool,
-        queue: &mut Vec<Word>,
-    ) -> Result<(), GcError> {
+    /// Forwards the roots, then the fields of finite regions' pages in
+    /// place, then drains the queue of copies. This order fixes where
+    /// every copy lands, and so every count a collection reports.
+    fn trace(&mut self, roots: &mut [Word], queue: &mut Vec<Word>) -> Result<(), GcError> {
         for w in roots.iter_mut() {
             *w = self.forward(*w, queue, "root")?;
         }
-        if minor {
-            for i in 0..self.remembered.len() {
-                // The object itself is old (not moved); fix its fields.
-                let obj = self.remembered[i];
-                if self.check_ptr(obj, "remembered").is_ok() {
-                    self.scan_object(obj, queue)?;
-                }
-            }
-        }
         // Finite regions are never moved, so their pages are scanned in
-        // place: all of them in a major collection, the young ones in a
-        // minor one (older pages are covered by the remembered set).
-        // Pages handed out during the scan hold copies, which only
+        // place. Pages handed out during the scan hold copies, which only
         // infinite regions receive.
         for page in 0..self.pages.len() {
             let p = &self.pages[page];
             let region = &self.regions[p.region.0 as usize];
-            if p.live && region.live && region.kind == RegionKind::Finite && (!minor || p.young) {
+            if p.live && region.live && region.kind == RegionKind::Finite {
                 self.scan_page(page as u32, queue)?;
             }
         }
@@ -375,7 +346,7 @@ mod tests {
         let inner = pair(&mut h, r, Word::int(1), Word::int(2));
         let outer = pair(&mut h, r, inner, Word::int(3));
         let mut roots = [outer];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         let outer2 = roots[0];
         assert_ne!(outer2, outer, "object should have moved");
         let inner2 = h.field(outer2, 0, "t").unwrap();
@@ -394,7 +365,7 @@ mod tests {
         }
         let before = h.live_words();
         let mut roots = [keep];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         let after = h.live_words();
         assert!(after < before / 4, "before={before} after={after}");
         assert_eq!(h.field(roots[0], 0, "t").unwrap(), Word::int(1));
@@ -413,7 +384,7 @@ mod tests {
         let empty = h.alloc_str(r, "");
         let neighbor = pair(&mut h, r, Word::int(41), Word::int(42));
         let mut roots = [empty, neighbor];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         h.verify(&roots).unwrap();
         assert_eq!(h.read_str(roots[0], "t").unwrap(), "");
         assert_eq!(h.field(roots[1], 0, "t").unwrap(), Word::int(41));
@@ -427,7 +398,7 @@ mod tests {
         let shared = pair(&mut h, r, Word::int(7), Word::int(8));
         let a = pair(&mut h, r, shared, shared);
         let mut roots = [a];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         let f0 = h.field(roots[0], 0, "t").unwrap();
         let f1 = h.field(roots[0], 1, "t").unwrap();
         assert_eq!(f0, f1, "sharing must be preserved");
@@ -441,7 +412,7 @@ mod tests {
         let p = pair(&mut h, r, cell, Word::int(0));
         h.set_field(cell, 0, p, "t").unwrap();
         let mut roots = [p];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         let cell2 = h.field(roots[0], 0, "t").unwrap();
         let back = h.field(cell2, 0, "t").unwrap();
         assert_eq!(back, roots[0], "cycle must close");
@@ -458,7 +429,7 @@ mod tests {
         let closure_like = pair(&mut h, live, s, Word::int(0));
         h.drop_region(dead);
         let mut roots = [closure_like];
-        let err = h.collect(&mut roots, false).unwrap_err();
+        let err = h.collect(&mut roots).unwrap_err();
         assert!(matches!(err, GcError::DanglingPointer { .. }));
         // The failed collection still released the pages it detached.
         let owned = pages_owned_by_live_regions(&h);
@@ -474,7 +445,7 @@ mod tests {
         let a = pair(&mut h, r1, Word::int(1), Word::int(1));
         let b = pair(&mut h, r2, a, Word::int(2));
         let mut roots = [b];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         assert_eq!(h.region_of(roots[0], "t").unwrap(), r2);
         let a2 = h.field(roots[0], 0, "t").unwrap();
         assert_eq!(h.region_of(a2, "t").unwrap(), r1);
@@ -489,7 +460,7 @@ mod tests {
         let holder = pair(&mut h, fin, target, Word::int(0));
         // No explicit root for `holder` (finite regions are roots).
         let mut roots: [Word; 0] = [];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         // holder didn't move...
         let t2 = h.field(holder, 0, "t").unwrap();
         // ...but its field was forwarded to the moved target.
@@ -503,49 +474,8 @@ mod tests {
         let r = h.create_region(RegionKind::Infinite);
         let s = h.alloc_str(r, "garbage collection");
         let mut roots = [s];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         assert_eq!(h.read_str(roots[0], "t").unwrap(), "garbage collection");
-    }
-
-    #[test]
-    fn minor_collection_uses_remembered_set() {
-        let mut h = Heap::new();
-        h.generational = true;
-        let r = h.create_region(RegionKind::Infinite);
-        let old_cell = h.alloc(r, ObjKind::Ref, 0, &[Word::UNIT.0]);
-        let mut roots = [old_cell];
-        h.collect(&mut roots, false).unwrap(); // old_cell is now old
-        let old_cell = roots[0];
-        // Mutate the old cell to point at a young object.
-        let young = pair(&mut h, r, Word::int(42), Word::int(43));
-        h.set_field(old_cell, 0, young, "t").unwrap();
-        assert!(!h.remembered.is_empty(), "write barrier must record");
-        // Minor collection with no explicit root for `young`.
-        let mut roots = [old_cell];
-        h.collect(&mut roots, true).unwrap();
-        let young2 = h.field(roots[0], 0, "t").unwrap();
-        assert_eq!(h.field(young2, 0, "t").unwrap(), Word::int(42));
-        assert_eq!(h.stats.minor_gc_count, 1);
-    }
-
-    #[test]
-    fn minor_collection_keeps_old_pages() {
-        let mut h = Heap::new();
-        h.generational = true;
-        let r = h.create_region(RegionKind::Infinite);
-        let old = pair(&mut h, r, Word::int(1), Word::int(2));
-        let mut roots = [old];
-        h.collect(&mut roots, false).unwrap();
-        let old = roots[0];
-        // Young garbage.
-        for i in 0..1000 {
-            pair(&mut h, r, Word::int(i), Word::int(i));
-        }
-        let mut roots = [old];
-        h.collect(&mut roots, true).unwrap();
-        // Old object did not move in the minor collection.
-        assert_eq!(roots[0], old);
-        assert_eq!(h.field(old, 0, "t").unwrap(), Word::int(1));
     }
 
     #[test]
@@ -557,7 +487,7 @@ mod tests {
         }
         assert!(h.should_collect(1024, 2.0));
         let mut roots: [Word; 0] = [];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         assert!(!h.should_collect(1024, 2.0));
     }
 }
@@ -597,7 +527,7 @@ mod untagged_tests {
         let shared = h.alloc(u, ObjKind::Pair, 0, &[Word::int(1).0, Word::int(2).0]);
         let holder = h.alloc(tagged, ObjKind::Pair, 0, &[shared.0, shared.0]);
         let mut roots = [holder];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         let a = h.field(roots[0], 0, "t").unwrap();
         let b = h.field(roots[0], 1, "t").unwrap();
         assert_eq!(a, b, "in-page forwarding must preserve sharing");
@@ -613,7 +543,7 @@ mod untagged_tests {
         let target = h.alloc(p, ObjKind::Pair, 0, &[Word::int(9).0, Word::int(9).0]);
         let cell = h.alloc(u, ObjKind::Ref, 0, &[target.0]);
         let mut roots = [cell];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         let t2 = h.field(roots[0], 0, "t").unwrap();
         assert_eq!(h.field(t2, 0, "t").unwrap(), Word::int(9));
     }
@@ -628,7 +558,7 @@ mod untagged_tests {
         }
         let before = h.live_words();
         let mut roots = [keep];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         assert!(h.live_words() < before / 4);
         assert_eq!(h.field(roots[0], 0, "t").unwrap(), Word::int(1));
     }
@@ -649,7 +579,7 @@ mod untagged_tests {
         let forwarded_pages: Vec<u32> = roots.iter().map(|w| page_of(*w)).collect();
         // Every object is forwarded, so every from-space page ends the
         // collection with its forwarding bits set.
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         h.drop_region(u);
         let v = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Pair));
         let mut roots: Vec<Word> = (0..600).map(|i| upair(&mut h, v, 1000 + i, i)).collect();
@@ -657,7 +587,7 @@ mod untagged_tests {
             roots.iter().any(|w| forwarded_pages.contains(&page_of(*w))),
             "the second batch must reuse the first collection's from-space pages"
         );
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         h.verify(&roots).unwrap();
         for (i, w) in roots.iter().enumerate() {
             assert_eq!(h.field(*w, 0, "t").unwrap(), Word::int(1000 + i as i64));
@@ -675,34 +605,12 @@ mod untagged_tests {
         let a = h.alloc(fin, ObjKind::Pair, 0, &[cell.0, Word::int(0).0]);
         let b = h.alloc(fin, ObjKind::Pair, 0, &[Word::int(0).0, cell.0]);
         let before = h.stats.bytes_copied;
-        h.collect(&mut [], false).unwrap();
+        h.collect(&mut []).unwrap();
         assert_eq!(h.stats.bytes_copied - before, WORD_BYTES, "one word, once");
         let from_a = h.field(a, 0, "t").unwrap();
         assert_ne!(from_a, cell, "the cell moved");
         assert_eq!(from_a, h.field(b, 1, "t").unwrap(), "sharing preserved");
         assert_eq!(h.field(from_a, 0, "t").unwrap(), Word::int(5));
-    }
-
-    #[test]
-    fn young_untagged_object_survives_through_the_remembered_set() {
-        let mut h = Heap::new();
-        h.generational = true;
-        let refs = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Ref));
-        let conses = h.create_region_uniform(RegionKind::Infinite, Some(UniformKind::Cons));
-        let mut roots = [h.alloc(refs, ObjKind::Ref, 0, &[Word::UNIT.0])];
-        h.collect(&mut roots, false).unwrap(); // the cell is now old
-        let old = roots[0];
-        let young = h.alloc(conses, ObjKind::Cons, 0, &[Word::int(42).0, Word::NIL.0]);
-        h.set_field(old, 0, young, "t").unwrap();
-        assert_eq!(h.remembered, [old], "write barrier must record");
-        // No root reaches `young` except through the old cell.
-        let mut roots: [Word; 0] = [];
-        h.collect(&mut roots, true).unwrap();
-        let moved = h.field(old, 0, "t").unwrap();
-        assert_ne!(moved, young, "the young cons was evacuated");
-        assert_eq!(h.field(moved, 0, "t").unwrap(), Word::int(42));
-        assert_eq!(h.field(moved, 1, "t").unwrap(), Word::NIL);
-        h.verify(&[old]).unwrap();
     }
 
     #[test]
@@ -723,7 +631,7 @@ mod untagged_tests {
         assert_eq!(neighbour.ptr_parts().1, victim.ptr_parts().1, "same offset");
         let mut roots = [neighbour, holder];
         assert_eq!(
-            h.collect(&mut roots, false),
+            h.collect(&mut roots),
             Err(GcError::DanglingPointer {
                 context: "object field"
             })
@@ -742,7 +650,7 @@ mod untagged_tests {
         h.drop_region(dead);
         let mut roots = [holder];
         assert!(matches!(
-            h.collect(&mut roots, false),
+            h.collect(&mut roots),
             Err(GcError::DanglingPointer { .. })
         ));
     }

@@ -77,11 +77,8 @@ pub(crate) struct Page {
     /// word 0 overwritten with the new pointer. Untagged pages are always
     /// regular-sized, so the bitmap covers them.
     pub forwarded: [u64; FORWARD_BITMAP_WORDS],
-    /// Generation stamp: pages allocated after the last collection are
-    /// "young" (used by the generational mode).
-    pub young: bool,
-    /// Sealed pages accept no further allocation (set at collection time
-    /// so one page never mixes generations).
+    /// Sealed pages accept no further allocation. A collection seals
+    /// every page that survives it (see `Heap::collect`).
     pub sealed: bool,
 }
 
@@ -117,14 +114,9 @@ pub struct Heap {
     pub bytes_since_gc: u64,
     /// Live bytes surviving the last collection.
     pub live_after_gc: u64,
-    /// Remembered set for the generational mode: addresses of old-page
-    /// object *fields* that were mutated to point at young objects.
-    pub(crate) remembered: Vec<Word>,
     /// The collector's queue of copies still to scan, kept between
     /// collections so its buffer is reused.
     pub(crate) gc_queue: Vec<Word>,
-    /// Generational mode switch.
-    pub generational: bool,
 }
 
 /// An access error: the paper's dangling pointer, observed at run time.
@@ -238,7 +230,6 @@ impl Heap {
                     live: false,
                     from_space: false,
                     forwarded: [0; FORWARD_BITMAP_WORDS],
-                    young: true,
                     sealed: false,
                 });
                 i
@@ -257,7 +248,6 @@ impl Heap {
         page.uniform = uniform;
         page.forwarded = [0; FORWARD_BITMAP_WORDS];
         page.live = true;
-        page.young = true;
         page.sealed = false;
         self.stats.live_words += page.words.len() as u64;
         self.stats.peak_live_words = self.stats.peak_live_words.max(self.stats.live_words);
@@ -416,9 +406,7 @@ impl Heap {
             .ok_or(DanglingAccess { context })
     }
 
-    /// Writes payload word `i` of the object at `w`, maintaining the
-    /// generational remembered set (old object now pointing at a young
-    /// one).
+    /// Writes payload word `i` of the object at `w`.
     ///
     /// # Errors
     ///
@@ -441,17 +429,6 @@ impl Heap {
             .get_mut(off as usize + skip + i)
             .ok_or(DanglingAccess { context })?;
         *slot = v.0;
-        if self.generational && !self.pages[page as usize].young && v.is_pointer() {
-            let (vp, _, _) = v.ptr_parts();
-            if self
-                .pages
-                .get(vp as usize)
-                .map(|p| p.young)
-                .unwrap_or(false)
-            {
-                self.remembered.push(w);
-            }
-        }
         Ok(())
     }
 

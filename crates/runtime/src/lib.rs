@@ -18,9 +18,7 @@
 //!   that reaches into a deallocated region is *detected* rather than
 //!   silently corrupting memory — this is how the benchmarks demonstrate
 //!   the paper's soundness problem: under strategy `rg-`, collection of
-//!   Figure 1's program stops with [`gc::GcError::DanglingPointer`],
-//! * an optional **generational mode** collects only pages younger than
-//!   the last collection, using a write-barrier-maintained remembered set.
+//!   Figure 1's program stops with [`gc::GcError::DanglingPointer`].
 //!
 //! Words, object headers, and layouts live in [`word`]; allocation
 //! statistics (bytes allocated, live peaks, collection counts — the

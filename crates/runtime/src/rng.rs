@@ -1,9 +1,9 @@
-//! A tiny deterministic PRNG for the torture rig.
+//! A tiny deterministic PRNG for the program generator and the benchmark.
 //!
-//! The stress scheduler must be reproducible: the same seed must produce
-//! the same collection schedule and therefore the same run outcome (the
-//! determinism contract documented in DESIGN.md). No ambient randomness
-//! is ever consulted — the seed is threaded explicitly through `RunOpts`.
+//! Both must be reproducible: the same seed must produce the same
+//! generated program (`rml-gen`) and the same op order (`perfbench`). No
+//! ambient randomness is ever consulted — the seed is always passed
+//! explicitly.
 
 /// A xorshift64* generator. Small, fast, and — crucially — deterministic
 /// across platforms and runs.

@@ -17,8 +17,6 @@ pub struct HeapStats {
     pub peak_live_words: u64,
     /// Number of tracing collections performed.
     pub gc_count: u64,
-    /// Of which minor (generational) collections.
-    pub minor_gc_count: u64,
     /// Bytes copied by the collector.
     pub bytes_copied: u64,
     /// Regions ever created.
@@ -56,6 +54,4 @@ pub struct GcPause {
     pub bytes_copied: u64,
     /// Live bytes surviving the collection.
     pub live_bytes: u64,
-    /// Was this a minor (generational) collection?
-    pub minor: bool,
 }

@@ -11,9 +11,7 @@
 //! * finite regions hold at most their multiplicity-proven bound,
 //! * every pointer *reachable from the roots* lands in a live page of a
 //!   live region with a matching epoch (the paper's GC-safety invariant:
-//!   no reachable dangling pointers),
-//! * in generational mode, every reachable old→young edge is covered by
-//!   the write-barrier remembered set.
+//!   no reachable dangling pointers).
 //!
 //! Reachability matters: unreachable garbage may legitimately hold
 //! dangling pointers even under the paper's safe strategy `rg` (the
@@ -73,14 +71,6 @@ pub enum InvariantKind {
         /// Payload field index.
         field: usize,
         /// The page the field points into.
-        target_page: u32,
-    },
-    /// A reachable old→young edge is missing from the remembered set: a
-    /// minor collection would fail to trace it.
-    UnrememberedOldYoungEdge {
-        /// Payload field index.
-        field: usize,
-        /// The young page the field points into.
         target_page: u32,
     },
 }
@@ -156,11 +146,6 @@ impl std::fmt::Display for HeapInvariantError {
                 f,
                 "reachable edge dangles: field {field} of {at} points into dead \
                  or recycled page {target_page}"
-            ),
-            InvariantKind::UnrememberedOldYoungEdge { field, target_page } => write!(
-                f,
-                "old-to-young edge not in remembered set: field {field} of {at} \
-                 points into young page {target_page}"
             ),
         }
     }
@@ -356,11 +341,6 @@ impl Heap {
         }
 
         let mut visited: HashSet<u64> = HashSet::new();
-        let remembered: Option<HashSet<u64>> = if self.generational {
-            Some(self.remembered.iter().map(|w| w.0).collect())
-        } else {
-            None
-        };
         while let Some(obj) = stack.pop() {
             if !visited.insert(obj.0) {
                 continue;
@@ -382,7 +362,6 @@ impl Heap {
                 }
             };
             let rid = self.pages[page as usize].region.0;
-            let obj_young = self.pages[page as usize].young;
             let (start, end, skip) = match self.uniform_of_page(page) {
                 Some(u) => (0, u.words(), 0usize),
                 None => {
@@ -431,19 +410,6 @@ impl Heap {
                         region: rid,
                     });
                 }
-                if let Some(rem) = &remembered {
-                    if !obj_young && self.pages[tp as usize].young && !rem.contains(&obj.0) {
-                        return Err(HeapInvariantError {
-                            kind: InvariantKind::UnrememberedOldYoungEdge {
-                                field: i,
-                                target_page: tp,
-                            },
-                            page,
-                            offset: off,
-                            region: rid,
-                        });
-                    }
-                }
                 stack.push(field);
             }
         }
@@ -482,7 +448,7 @@ mod tests {
             pair(&mut h, r, Word::int(i), Word::int(i));
         }
         let mut roots = [keep];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         h.verify(&roots).unwrap();
     }
 
@@ -562,29 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn unremembered_old_young_edge_detected() {
-        let mut h = Heap::new();
-        h.generational = true;
-        let r = h.create_region(RegionKind::Infinite);
-        let cell = h.alloc(r, ObjKind::Ref, 0, &[Word::UNIT.0]);
-        let mut roots = [cell];
-        h.collect(&mut roots, false).unwrap(); // cell is now old
-        let cell = roots[0];
-        let young = pair(&mut h, r, Word::int(1), Word::int(2));
-        // Bypass the write barrier: poke the field directly.
-        let (page, off, _) = cell.ptr_parts();
-        h.pages[page as usize].words[off as usize + 1] = young.0;
-        let err = h.verify(&[cell]).unwrap_err();
-        assert!(matches!(
-            err.kind,
-            InvariantKind::UnrememberedOldYoungEdge { field: 0, .. }
-        ));
-        // Through the barrier the same heap verifies.
-        h.set_field(cell, 0, young, "t").unwrap();
-        h.verify(&[cell]).unwrap();
-    }
-
-    #[test]
     fn finite_regions_are_implicit_roots() {
         // A dangling pointer held by a finite-region object is reachable
         // (the collector scans finite regions), so the verifier must see
@@ -608,7 +551,7 @@ mod tests {
         let outer = pair(&mut h, t, inner, Word::int(3));
         h.verify(&[outer]).unwrap();
         let mut roots = [outer];
-        h.collect(&mut roots, false).unwrap();
+        h.collect(&mut roots).unwrap();
         h.verify(&roots).unwrap();
     }
 }

@@ -18,11 +18,9 @@
 //!   --torture               run the differential torture oracle: every
 //!                           strategy × every GC schedule, one verdict
 //!   --gc-stress=N           force a collection every N machine steps
+//!                           (N ≥ 1)
 //!   --alloc-budget=N        inject OutOfMemory at the Nth allocation
 //!   --depth-limit=N         inject a continuation-depth limit
-//!   --seed=N                PRNG seed for stress schedules (default
-//!                           0x704110E5); same seed ⇒ same schedule ⇒
-//!                           same outcome
 //!   --profile[=PATH]        record a Chrome trace (pipeline phases, GC
 //!                           pauses, machine counters) to PATH (default
 //!                           rml-trace.json); load in about://tracing
@@ -58,7 +56,7 @@ fn usage() -> ! {
         "usage: rmlc [--strategy rg|rg-|r] [--baseline] [--no-basis] \
          [--print-term] [--print-schemes] [--check] [--check-full] \
          [--emit=ir] [-o <file>] [--stats] [--torture] [--gc-stress=N] \
-         [--alloc-budget=N] [--depth-limit=N] [--seed=N] \
+         [--alloc-budget=N] [--depth-limit=N] \
          [--profile[=PATH]] [--metrics] [--gen-fuel=N] [--print-src] \
          (<file.rml> | -e <expr> | --gen=SEED | --load-ir <file.ir>)"
     );
@@ -76,6 +74,19 @@ fn parse_num(a: &str) -> u64 {
             eprintln!("rmlc: invalid value for {flag}: `{v}` is not a number ({e})");
             std::process::exit(2)
         }
+    }
+}
+
+/// Like [`parse_num`], for a flag whose value must be at least 1 (a
+/// `--gc-stress` period of 0 would never collect).
+fn parse_positive(a: &str) -> u64 {
+    match parse_num(a) {
+        0 => {
+            let flag = a.split_once('=').map_or(a, |(f, _)| f);
+            eprintln!("rmlc: invalid value for {flag}: `0` must be at least 1");
+            std::process::exit(2)
+        }
+        n => n,
     }
 }
 
@@ -112,7 +123,6 @@ fn main() {
     let mut gc_stress: Option<u64> = None;
     let mut alloc_budget: Option<u64> = None;
     let mut depth_limit: Option<usize> = None;
-    let mut seed: u64 = 0x7041_10E5;
     let mut profile: Option<String> = None;
     let mut metrics = false;
     let mut gen_seed: Option<u64> = None;
@@ -140,10 +150,9 @@ fn main() {
             "--stats" => stats = true,
             "--torture" => torture = true,
             "-e" => expr = Some(args.next().unwrap_or_else(|| usage())),
-            s if s.starts_with("--gc-stress=") => gc_stress = Some(parse_num(s)),
+            s if s.starts_with("--gc-stress=") => gc_stress = Some(parse_positive(s)),
             s if s.starts_with("--alloc-budget=") => alloc_budget = Some(parse_num(s)),
             s if s.starts_with("--depth-limit=") => depth_limit = Some(parse_num(s) as usize),
-            s if s.starts_with("--seed=") => seed = parse_num(s),
             "--profile" => profile = Some("rml-trace.json".to_string()),
             s if s.starts_with("--profile=") => {
                 let (_, p) = s.split_once('=').unwrap_or(("", ""));
@@ -214,7 +223,6 @@ fn main() {
             print!("{src}");
         }
         let topts = rml::torture::TortureOpts {
-            seed,
             with_basis: use_basis,
             ..Default::default()
         };
@@ -333,7 +341,7 @@ fn main() {
     }
     let opts = ExecOpts {
         baseline,
-        gc: gc_stress.map(|n| rml_eval::GcPolicy::stress_every(n.max(1), seed)),
+        gc: gc_stress.map(|n| rml_eval::GcPolicy::stress_every(n, 0)),
         alloc_budget,
         depth_limit,
         ..ExecOpts::default()

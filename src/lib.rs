@@ -41,7 +41,7 @@ pub use pipeline::{
     load_ir, CompileError, CompileTimings, Compiled, ExecOpts,
 };
 pub use rml_eval::{RunOutcome, RunValue};
-pub use rml_infer::{SpuriousStyle, Strategy};
+pub use rml_infer::Strategy;
 pub use rml_session::{Diagnostic, Json, SourceMap, Span};
 
 /// Runs `f` on a thread with a 64 MiB stack. The recursive passes over

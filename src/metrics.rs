@@ -123,7 +123,6 @@ impl MetricsSnapshot {
                     ("objects_allocated", Json::UInt(self.heap.objects_allocated)),
                     ("peak_bytes", Json::UInt(self.heap.peak_bytes())),
                     ("gc_count", Json::UInt(self.heap.gc_count)),
-                    ("minor_gc_count", Json::UInt(self.heap.minor_gc_count)),
                     ("bytes_copied", Json::UInt(self.heap.bytes_copied)),
                     ("regions_created", Json::UInt(self.heap.regions_created)),
                     ("peak_regions", Json::UInt(self.heap.peak_regions)),
@@ -179,10 +178,9 @@ impl MetricsSnapshot {
             self.heap.pages_released
         ));
         out.push_str(&format!(
-            "gc:      {} collections ({} minor, {} forced)  {} bytes copied  \
+            "gc:      {} collections ({} forced)  {} bytes copied  \
              pauses p50 {}us p99 {}us max {}us\n",
             self.heap.gc_count,
-            self.heap.minor_gc_count,
             self.heap.forced_gcs,
             self.heap.bytes_copied,
             self.pauses.p50_us,
@@ -202,7 +200,6 @@ mod tests {
             duration: Duration::from_micros(us),
             bytes_copied: 0,
             live_bytes: 0,
-            minor: false,
         }
     }
 

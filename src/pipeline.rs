@@ -2,7 +2,7 @@
 //! execute.
 
 use rml_eval::{GcPolicy, RunError, RunOpts, RunOutcome};
-use rml_infer::{Options, SpuriousStyle, Strategy};
+use rml_infer::{Options, Strategy};
 use rml_repr::ReprInfo;
 use rml_session::{trace, Diagnostic, SourceMap};
 use std::fmt;
@@ -97,22 +97,13 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Compiles a source program under a strategy.
+/// Compiles a source program under a strategy, with the default
+/// spurious-variable style (scheme (3) of the paper's Section 2).
 ///
 /// # Errors
 ///
 /// Returns the first stage error encountered.
 pub fn compile(src: &str, strategy: Strategy) -> Result<Compiled, CompileError> {
-    compile_opts(src, strategy, SpuriousStyle::default())
-}
-
-/// Compiles with an explicit spurious-variable style (the scheme (2) vs
-/// scheme (3) choice of the paper's Section 2).
-pub fn compile_opts(
-    src: &str,
-    strategy: Strategy,
-    style: SpuriousStyle,
-) -> Result<Compiled, CompileError> {
     let _compile_span = trace::span("compile", "pipeline");
     let start = Instant::now();
     let prog = {
@@ -136,7 +127,11 @@ pub fn compile_opts(
     let types = t.elapsed();
     let t = Instant::now();
     // rml_infer::infer opens its own "region-inference" span.
-    let output = rml_infer::infer(&typed, Options { strategy, style }).map_err(|e| {
+    let opts = Options {
+        strategy,
+        ..Options::default()
+    };
+    let output = rml_infer::infer(&typed, opts).map_err(|e| {
         CompileError::Region(Diagnostic::error(
             "E0003",
             format!("region inference error: {}", e.0),
@@ -290,8 +285,6 @@ pub struct ExecOpts {
     pub gc: Option<GcPolicy>,
     /// Run the regionless baseline machine instead.
     pub baseline: bool,
-    /// Use the finite-region classification from `rml-repr`.
-    pub use_finite_regions: bool,
     /// Use the partly tag-free (untagged pairs/refs/cons) representation
     /// for kind-homogeneous regions (paper Section 6).
     pub tag_free: bool,
@@ -311,7 +304,6 @@ impl Default for ExecOpts {
         ExecOpts {
             gc: None,
             baseline: false,
-            use_finite_regions: true,
             tag_free: true,
             fuel: u64::MAX,
             alloc_budget: None,
@@ -337,7 +329,7 @@ pub fn execute(c: &Compiled, opts: &ExecOpts) -> Result<RunOutcome, RunError> {
         Strategy::R => GcPolicy::Off,
         _ => GcPolicy::default_on(),
     });
-    if opts.use_finite_regions && !opts.baseline {
+    if !opts.baseline {
         ro.finite = c.repr.finite.clone();
         ro.finite_bounds = c.repr.bounds.clone();
     }

@@ -10,7 +10,7 @@
 //! A [`torture`] run builds the full matrix
 //!
 //! ```text
-//! {rg, rg-, r, baseline} × {default, stress-step, stress-gen, no-gc}
+//! {rg, rg-, r, baseline} × {default, stress-step, stress-16, no-gc}
 //! ```
 //!
 //! and compares every cell against the reference cell `rg × default`:
@@ -25,16 +25,16 @@
 //!   `Dangling` — a wrong *value* is a soundness bug and is reported.
 //!
 //! Every faulting cell is re-run and its error message (which is
-//! step-stamped) must reproduce exactly: same seed ⇒ same schedule ⇒
-//! same outcome. Two fault-injection probes then run against the
+//! step-stamped) must reproduce exactly: same schedule ⇒ same
+//! outcome. Two fault-injection probes then run against the
 //! reference compilation — an allocation budget and a continuation-depth
 //! limit — asserting that injected faults surface as structured
 //! [`RunError`]s and that a clean re-run still agrees with the reference
 //! (the machine is resumable from a clean heap after a rejected run).
 
-use crate::pipeline::{compile_opts, compile_with_basis, CompileError, Compiled, ExecOpts};
+use crate::pipeline::{compile, compile_with_basis, CompileError, Compiled, ExecOpts};
 use rml_eval::{GcPolicy, RunError, VerifyLevel};
-use rml_infer::{SpuriousStyle, Strategy};
+use rml_infer::Strategy;
 use std::fmt::Write as _;
 
 /// One GC schedule of the torture matrix.
@@ -48,8 +48,8 @@ pub struct Schedule {
     pub verify: Option<VerifyLevel>,
 }
 
-/// The four schedules of the matrix, all driven by `seed`.
-pub fn schedules(seed: u64) -> Vec<Schedule> {
+/// The four schedules of the matrix.
+pub fn schedules() -> Vec<Schedule> {
     vec![
         Schedule {
             name: "default",
@@ -58,12 +58,12 @@ pub fn schedules(seed: u64) -> Vec<Schedule> {
         },
         Schedule {
             name: "stress-step",
-            gc: Some(GcPolicy::stress_every_step(seed)),
+            gc: Some(GcPolicy::stress_every_step()),
             verify: Some(VerifyLevel::EveryStep),
         },
         Schedule {
-            name: "stress-gen",
-            gc: Some(GcPolicy::stress_generational(16, seed)),
+            name: "stress-16",
+            gc: Some(GcPolicy::stress_every(16, 0)),
             verify: Some(VerifyLevel::AfterGc),
         },
         Schedule {
@@ -77,8 +77,6 @@ pub fn schedules(seed: u64) -> Vec<Schedule> {
 /// Options for a torture run.
 #[derive(Debug, Clone, Copy)]
 pub struct TortureOpts {
-    /// PRNG seed driving every stress schedule in the matrix.
-    pub seed: u64,
     /// Step budget per cell. Steps are schedule-independent, so a cell
     /// that runs out of fuel does so identically in every cell and the
     /// matrix still agrees.
@@ -92,7 +90,6 @@ pub struct TortureOpts {
 impl Default for TortureOpts {
     fn default() -> TortureOpts {
         TortureOpts {
-            seed: 0x7041_10E5,
             fuel: 2_000_000,
             with_basis: false,
             faults: true,
@@ -284,7 +281,7 @@ pub fn torture_compiled(
     r: &Compiled,
     opts: &TortureOpts,
 ) -> Report {
-    let scheds = schedules(opts.seed);
+    let scheds = schedules();
     let mut cells = Vec::new();
     let mut divergences = Vec::new();
 
@@ -342,8 +339,7 @@ pub fn torture_compiled(
     }
 
     // Determinism: every faulting cell must reproduce its step-stamped
-    // error exactly on a re-run (same seed ⇒ same schedule ⇒ same
-    // outcome).
+    // error exactly on a re-run (same schedule ⇒ same outcome).
     let reruns: Vec<(usize, &'static str, bool)> = cells
         .iter()
         .enumerate()
@@ -449,7 +445,7 @@ fn fault_probes(
         // Resumability: a clean run after the rejected one must still
         // agree with the reference (the fault left no residue — each
         // machine gets a fresh heap, and nothing global leaked).
-        let clean = run_cell(rg, false, &schedules(opts.seed)[0], opts);
+        let clean = run_cell(rg, false, &schedules()[0], opts);
         let recovered = clean.outcome == *reference;
         if !recovered {
             divergences.push(format!(
@@ -500,7 +496,7 @@ pub fn torture(name: &str, src: &str, opts: &TortureOpts) -> Result<Report, Comp
         if opts.with_basis {
             compile_with_basis(src, s)
         } else {
-            compile_opts(src, s, SpuriousStyle::default())
+            compile(src, s)
         }
     };
     let rg = comp(Strategy::Rg)?;

@@ -1,6 +1,7 @@
 //! Regression tests for the CLI's loud argument parsing and the
-//! `--profile` exporter: a present-but-unparsable numeric flag must fail
-//! with a diagnostic and exit 2 — never silently fall back to a default.
+//! `--profile` exporter: a present-but-unparsable or out-of-range numeric
+//! flag must fail with a diagnostic and exit 2 — never silently fall back
+//! to a default.
 
 use std::process::Command;
 
@@ -10,12 +11,7 @@ fn rmlc() -> Command {
 
 #[test]
 fn bad_numeric_flags_fail_loudly() {
-    for flag in [
-        "--gc-stress=1k",
-        "--alloc-budget=ten",
-        "--depth-limit=",
-        "--seed=0x10",
-    ] {
+    for flag in ["--gc-stress=1k", "--alloc-budget=ten", "--depth-limit="] {
         let out = rmlc().args([flag, "-e", "1"]).output().unwrap();
         assert_eq!(
             out.status.code(),
@@ -35,9 +31,29 @@ fn bad_numeric_flags_fail_loudly() {
 }
 
 #[test]
+fn zero_gc_stress_period_is_rejected() {
+    let out = rmlc().args(["--gc-stress=0", "-e", "1"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{:?}", out.status);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--gc-stress"),
+        "diagnostic must cite the flag: {err}"
+    );
+    assert!(err.contains("at least 1"), "diagnostic must say why: {err}");
+}
+
+#[test]
+fn removed_seed_flag_is_a_usage_error() {
+    let out = rmlc().args(["--seed=7", "-e", "1"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{:?}", out.status);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("usage: rmlc"), "stderr: {err}");
+}
+
+#[test]
 fn good_numeric_flags_still_parse() {
     let out = rmlc()
-        .args(["--gc-stress=100", "--seed=7", "-e", "1 + 2"])
+        .args(["--gc-stress=100", "-e", "1 + 2"])
         .output()
         .unwrap();
     assert!(out.status.success(), "{:?}", out.status);

@@ -50,7 +50,6 @@ fn corpus_replays_identically_across_strategies() {
             gc: Some(GcPolicy::On {
                 min_bytes: 256,
                 ratio: 1.05,
-                generational: false,
             }),
             ..ExecOpts::default()
         };

@@ -285,7 +285,6 @@ fn tag_free_suite_agreement_body() {
             gc: Some(rml_eval::GcPolicy::On {
                 min_bytes: 16 * 1024,
                 ratio: 1.3,
-                generational: false,
             }),
             ..rml::ExecOpts::default()
         };

@@ -49,7 +49,6 @@ fn random_programs_are_gc_safe_and_strategy_independent() {
             gc: Some(GcPolicy::On {
                 min_bytes: 256,
                 ratio: 1.05,
-                generational: false,
             }),
             ..ExecOpts::default()
         };
@@ -82,27 +81,5 @@ fn random_programs_are_gc_safe_and_strategy_independent() {
             Err(RunError::Dangling(_)) => {}
             Err(e) => panic!("seed {seed}: rg- failed with a non-dangling error: {e}\nsrc: {src}"),
         }
-    }
-}
-
-#[test]
-fn generational_collection_agrees() {
-    for (seed, src) in cases(9_000) {
-        let c = compile(&src, Strategy::Rg)
-            .unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}\nsrc: {src}"));
-        let plain = execute(&c, &ExecOpts::default()).unwrap().value;
-        let opts = ExecOpts {
-            gc: Some(GcPolicy::On {
-                min_bytes: 256,
-                ratio: 1.05,
-                generational: true,
-            }),
-            ..ExecOpts::default()
-        };
-        let gen = execute(&c, &opts).unwrap().value;
-        assert_eq!(
-            plain, gen,
-            "seed {seed}: generational GC changed the result of {src}"
-        );
     }
 }
