@@ -33,6 +33,9 @@
 // structured errors, never via panicking escape hatches. Test modules
 // (compiled only under `cfg(test)`) are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Roots are read and written back through safe `Cell` walks; nothing here
+// needs raw pointers.
+#![forbid(unsafe_code)]
 
 mod code;
 mod decode;

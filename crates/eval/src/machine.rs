@@ -565,19 +565,19 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Gathers the machine's root set: the control value, frame cells,
-    /// and the value slots in view of every environment the control and
-    /// the continuation hold. The returned cells stay valid while `ctrl`
-    /// and `self.kont` are untouched.
-    fn gather_roots(&self, ctrl: &Ctrl<'a>) -> Vec<*const Cell<u64>> {
-        let mut cells: Vec<*const Cell<u64>> = Vec::new();
+    /// Calls `f` on each cell of the machine's root set: the control
+    /// value, frame cells, and the value slots in view of every
+    /// environment the control and the continuation hold. While `ctrl` and
+    /// `self.kont` are untouched, every walk visits the same cells in the
+    /// same order.
+    fn for_each_root(&self, ctrl: &Ctrl<'a>, mut f: impl FnMut(&Cell<u64>)) {
         let mut envs: Vec<(&Act, ScopeId)> = Vec::new();
         match ctrl {
-            Ctrl::Ret(w) => cells.push(w),
+            Ctrl::Ret(w) => f(w),
             Ctrl::Eval(e, act) => envs.push((act, e.scope)),
         }
-        for f in &self.kont {
-            match f {
+        for frame in &self.kont {
+            match frame {
                 Frame::AppArg { act, scope, .. }
                 | Frame::LetBody { act, scope, .. }
                 | Frame::PairSnd { act, scope, .. }
@@ -586,14 +586,16 @@ impl<'a> Machine<'a> {
                 | Frame::Case { act, scope, .. }
                 | Frame::AssignRhs { act, scope, .. }
                 | Frame::Handle { act, scope, .. } => envs.push((act, *scope)),
-                Frame::AppCall { clos, .. } => cells.push(clos),
-                Frame::PairMk { fst, .. } => cells.push(fst),
-                Frame::ConsMk { head, .. } => cells.push(head),
-                Frame::AssignDo { target } => cells.push(target),
+                Frame::AppCall { clos, .. } => f(clos),
+                Frame::PairMk { fst, .. } => f(fst),
+                Frame::ConsMk { head, .. } => f(head),
+                Frame::AssignDo { target } => f(target),
                 Frame::Prim {
                     fst, act, scope, ..
                 } => {
-                    cells.extend(fst.as_ref().map(|c| c as *const _));
+                    if let Some(c) = fst {
+                        f(c);
+                    }
                     envs.push((act, *scope));
                 }
                 _ => {}
@@ -603,23 +605,22 @@ impl<'a> Machine<'a> {
         // activation sit on one path through its body, so each scope
         // extends the one before it in the same frame, and the walk stops
         // where that one begins. Should a chain ever not extend its
-        // predecessor, the walk runs to the root and lists some slots
+        // predecessor, the walk runs to the root and visits some slots
         // twice, which the collector tolerates.
-        let mut last: Option<(*const Cell<u64>, ScopeId)> = None;
+        let mut last: Option<(&Act, ScopeId)> = None;
         for (act, scope) in envs {
             let stop = match last {
-                Some((p, s)) if p == act.as_ptr() => s,
+                Some((prev, s)) if Rc::ptr_eq(prev, act) => s,
                 _ => crate::code::EMPTY_SCOPE,
             };
             let mut s = scope;
             while s != crate::code::EMPTY_SCOPE && s != stop {
                 let (slot, parent) = self.prog.scopes[s];
-                cells.push(&act[slot]);
+                f(&act[slot]);
                 s = parent;
             }
-            last = Some((act.as_ptr(), scope));
+            last = Some((act, scope));
         }
-        cells
     }
 
     fn maybe_collect(&mut self, ctrl: &Ctrl<'a>) -> MResult<()> {
@@ -632,9 +633,9 @@ impl<'a> Machine<'a> {
         if decision.is_none() && !verify_now {
             return Ok(());
         }
-        let cells = self.gather_roots(ctrl);
-        // Two-phase: read all roots, collect, write back.
-        let mut roots: Vec<Word> = cells.iter().map(|c| Word(unsafe { &**c }.get())).collect();
+        // Two-phase: read all roots, collect, write back in the same order.
+        let mut roots: Vec<Word> = Vec::new();
+        self.for_each_root(ctrl, |c| roots.push(Word(c.get())));
         if let Some(forced) = decision {
             self.gc_pending = false;
             if forced {
@@ -651,9 +652,12 @@ impl<'a> Machine<'a> {
                 }
                 Err(e @ GcError::Corrupt { .. }) => return Err(RunError::Invariant(e.to_string())),
             }
-            for (c, w) in cells.iter().zip(&roots) {
-                unsafe { &**c }.set(w.0);
-            }
+            let mut moved = roots.iter();
+            self.for_each_root(ctrl, |c| {
+                if let Some(w) = moved.next() {
+                    c.set(w.0);
+                }
+            });
         }
         if verify_now {
             // Every binder in view has been evaluated, so its slot is bound.

@@ -379,8 +379,7 @@ impl Constrain {
         // Copy latent sets of quantified effect variables, mapping bound
         // atoms through the instantiation.
         for (root, fresh) in &epairs {
-            let latent = self.st.latent_of(*root);
-            for a in latent.iter().copied() {
+            for a in self.st.latent_of(*root) {
                 let mapped = match a {
                     AtomI::Rho(r) => AtomI::Rho(*rmap.get(&r).unwrap_or(&r)),
                     AtomI::Eps(e) => AtomI::Eps(*emap.get(&e).unwrap_or(&e)),

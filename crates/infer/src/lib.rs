@@ -147,8 +147,6 @@ pub fn infer(p: &TProgram, opts: Options) -> Result<Output, InferError> {
             &[
                 ("find_ops", store_stats.find_ops as f64),
                 ("unions", store_stats.unions as f64),
-                ("closure_cache_hits", store_stats.closure_cache_hits as f64),
-                ("closure_recomputes", store_stats.closure_recomputes as f64),
             ],
         );
     }

@@ -22,29 +22,20 @@
 //!   same membership semantics and iteration order as the `BTreeSet` it
 //!   replaces, without the per-node allocations;
 //! * an **iterative worklist** in [`Store::add_atom`] (the closure
-//!   invariant used to be restored by recursion);
-//! * **dirty-bit-invalidated memos** for [`Store::latent_of`] and the
-//!   per-root effect closures. An insert marks *only the roots whose
-//!   latent set actually grew* as dirty — sound because latent sets are
-//!   kept eagerly transitively closed, so any root whose closure changes
-//!   also has its own latent set change (via container propagation) and
-//!   is therefore marked. Unions still force a full flush (they change
-//!   canonical representatives, staling every memoised canonicalised
-//!   set), via a separate union generation counter. Path compression
-//!   invalidates nothing — it never changes a representative;
-//! * **hash-consed result sets**: the memoised latent/closure sets are
-//!   interned through [`rml_session::Interner`], so structurally equal
-//!   sets (ubiquitous once effects are unified) share one allocation and
-//!   compare equal by pointer.
+//!   invariant used to be restored by recursion).
+//!
+//! Because every latent set is closed as soon as it changes, the effect
+//! closure of `{ε}` is just `ε` plus its own latent set: no query walks
+//! the inner latent sets, and there is nothing to cache. A closure is one
+//! canonicalising pass over a handful of atoms, so queries read the store
+//! directly and no mutation has anything to invalidate.
 //!
 //! Opt-in instrumentation is available through [`Store::stats`], which
-//! snapshots find/union/closure/intern counters ([`StoreStats`]).
+//! snapshots the find/union counters ([`StoreStats`]).
 
 use rml_core::vars::{ArrowEff, Atom, EffVar, Effect, RegVar};
-use rml_session::Interner;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
 /// A region-variable node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -119,13 +110,13 @@ pub struct StoreStats {
     pub find_ops: u64,
     /// Successful unions (distinct classes merged), regions + effects.
     pub unions: u64,
-    /// Latent/closure memo rebuilds after a store mutation.
+    /// Retired with the closure memo; always 0.
     pub closure_recomputes: u64,
-    /// Latent/closure queries answered from the memo.
+    /// Retired with the closure memo; always 0.
     pub closure_cache_hits: u64,
-    /// Interned latent/closure sets that found an existing allocation.
+    /// Retired with the set interner; always 0.
     pub intern_hits: u64,
-    /// Interned latent/closure sets that allocated a new value.
+    /// Retired with the set interner; always 0.
     pub intern_misses: u64,
 }
 
@@ -145,29 +136,8 @@ pub struct Store {
     rho_core: BTreeMap<u32, RegVar>,
     /// Core variable assigned to each eps root at resolution time.
     eps_core: BTreeMap<u32, EffVar>,
-    /// Union generation; bumped only by `union_rho`/`union_eps`. Unions
-    /// change canonical representatives, so they stale *every* memoised
-    /// canonicalised set at once.
-    union_epoch: Cell<u64>,
-    /// Union generation the memos below were built at; on mismatch they
-    /// are cleared wholesale by the next query.
-    memo_union_epoch: Cell<u64>,
-    /// Eps roots whose latent set grew (via `add_atom`) since the memos
-    /// were last refreshed; only these entries are evicted. Sound because
-    /// latent sets are eagerly closed: a root whose *closure* changes has
-    /// its own latent changed too (container propagation) and lands here.
-    dirty: RefCell<BTreeSet<u32>>,
-    /// Canonicalised latent set per eps root.
-    latent_memo: RefCell<BTreeMap<u32, Rc<BTreeSet<AtomI>>>>,
-    /// Transitive atom closure of `{Eps(root)}` per eps root.
-    closure_memo: RefCell<BTreeMap<u32, Rc<BTreeSet<AtomI>>>>,
-    /// Hash-consing interner shared by both memos: structurally equal
-    /// result sets collapse to one `Rc`.
-    sets: RefCell<Interner<BTreeSet<AtomI>>>,
     find_ops: Cell<u64>,
     unions: Cell<u64>,
-    closure_recomputes: Cell<u64>,
-    closure_cache_hits: Cell<u64>,
 }
 
 impl Store {
@@ -178,14 +148,10 @@ impl Store {
 
     /// Snapshots the instrumentation counters.
     pub fn stats(&self) -> StoreStats {
-        let (intern_hits, intern_misses) = self.sets.borrow().stats();
         StoreStats {
             find_ops: self.find_ops.get(),
             unions: self.unions.get(),
-            closure_recomputes: self.closure_recomputes.get(),
-            closure_cache_hits: self.closure_cache_hits.get(),
-            intern_hits,
-            intern_misses,
+            ..StoreStats::default()
         }
     }
 
@@ -239,10 +205,6 @@ impl Store {
         }
     }
 
-    fn bump_union_epoch(&self) {
-        self.union_epoch.set(self.union_epoch.get() + 1);
-    }
-
     /// Picks (winner, loser) by rank with a deterministic tiebreak
     /// (lower id wins), bumping the winner's rank on ties.
     fn pick(rank: &mut [u8], a: u32, b: u32) -> (u32, u32) {
@@ -266,7 +228,6 @@ impl Store {
             return;
         }
         self.unions.set(self.unions.get() + 1);
-        self.bump_union_epoch();
         let (win, lose) = Self::pick(&mut self.rho_rank, ra.0, rb.0);
         self.rho_parent[lose as usize].set(win);
         // Resolution normally happens after all unions, but keep any
@@ -285,7 +246,6 @@ impl Store {
             return;
         }
         self.unions.set(self.unions.get() + 1);
-        self.bump_union_epoch();
         let (win, lose) = Self::pick(&mut self.eps_rank, ra.0, rb.0);
         self.eps_parent[lose as usize].set(win);
         if let Some(v) = self.eps_core.remove(&lose) {
@@ -337,7 +297,6 @@ impl Store {
             if !self.latent[root.0 as usize].insert(atom) {
                 continue;
             }
-            self.dirty.get_mut().insert(root.0);
             // Transitivity: inserting ε' brings in φ(ε').
             if let AtomI::Eps(inner) = atom {
                 self.containers[inner.0 as usize].insert(root.0);
@@ -352,60 +311,14 @@ impl Store {
         }
     }
 
-    /// Adds a whole effect to a variable.
-    pub fn add_atoms<I: IntoIterator<Item = AtomI>>(&mut self, e: EpsId, atoms: I) {
-        for a in atoms {
-            self.add_atom(e, a);
-        }
-    }
-
-    /// Reconciles the memos with mutations since they were last used.
-    /// Called at the top of every memoised query. A union since the last
-    /// refresh clears everything (representatives changed); otherwise only
-    /// the roots whose latent sets grew are evicted.
-    fn refresh_memos(&self) {
-        let now = self.union_epoch.get();
-        if self.memo_union_epoch.get() != now {
-            self.latent_memo.borrow_mut().clear();
-            self.closure_memo.borrow_mut().clear();
-            self.dirty.borrow_mut().clear();
-            self.memo_union_epoch.set(now);
-            return;
-        }
-        let mut dirty = self.dirty.borrow_mut();
-        if !dirty.is_empty() {
-            let mut lm = self.latent_memo.borrow_mut();
-            let mut cm = self.closure_memo.borrow_mut();
-            for id in dirty.iter() {
-                lm.remove(id);
-                cm.remove(id);
-            }
-            dirty.clear();
-        }
-    }
-
-    /// The latent set of an effect variable (canonicalised, shared).
-    ///
-    /// The result is memoised per root until the next mutation; callers
-    /// that need ownership can clone the inner set.
-    pub fn latent_of(&self, e: EpsId) -> Rc<BTreeSet<AtomI>> {
-        self.refresh_memos();
+    /// The latent set of an effect variable, canonicalised.
+    pub fn latent_of(&self, e: EpsId) -> BTreeSet<AtomI> {
         let root = self.find_eps(e);
-        if let Some(rc) = self.latent_memo.borrow().get(&root.0) {
-            self.closure_cache_hits
-                .set(self.closure_cache_hits.get() + 1);
-            return rc.clone();
-        }
-        self.closure_recomputes
-            .set(self.closure_recomputes.get() + 1);
-        let set: BTreeSet<AtomI> = self.latent[root.0 as usize]
+        self.latent[root.0 as usize]
             .iter()
             .map(|a| self.canon(a))
             .filter(|a| *a != AtomI::Eps(root))
-            .collect();
-        let rc = self.sets.borrow_mut().intern(set);
-        self.latent_memo.borrow_mut().insert(root.0, rc.clone());
-        rc
+            .collect()
     }
 
     /// Canonicalises an atom set.
@@ -413,65 +326,23 @@ impl Store {
         s.iter().map(|a| self.canon(*a)).collect()
     }
 
-    /// The transitive atom closure of `{Eps(root)}`, memoised per root.
-    fn eps_closure(&self, root: EpsId) -> Rc<BTreeSet<AtomI>> {
+    /// Adds the transitive atom closure of `{Eps(root)}` to `out`. The
+    /// latent set is already closed, so this is `root` plus its latent set.
+    fn eps_closure(&self, root: EpsId, out: &mut BTreeSet<AtomI>) {
         debug_assert_eq!(self.eps_parent[root.0 as usize].get(), root.0);
-        if let Some(rc) = self.closure_memo.borrow().get(&root.0) {
-            self.closure_cache_hits
-                .set(self.closure_cache_hits.get() + 1);
-            return rc.clone();
-        }
-        self.closure_recomputes
-            .set(self.closure_recomputes.get() + 1);
-        let mut out = BTreeSet::new();
         out.insert(AtomI::Eps(root));
-        let mut work: Vec<AtomI> = self.latent[root.0 as usize].iter().collect();
-        while let Some(a) = work.pop() {
-            let a = self.canon(a);
-            if out.insert(a) {
-                if let AtomI::Eps(e) = a {
-                    work.extend(self.latent[e.0 as usize].iter());
-                }
-            }
-        }
-        let rc = self.sets.borrow_mut().intern(out);
-        self.closure_memo.borrow_mut().insert(root.0, rc.clone());
-        rc
-    }
-
-    /// The transitive region closure of an atom set: all regions reachable
-    /// through effect variables' latent sets.
-    pub fn region_closure(&self, s: &BTreeSet<AtomI>) -> BTreeSet<RhoId> {
-        self.refresh_memos();
-        let mut out = BTreeSet::new();
-        for a in s {
-            match self.canon(*a) {
-                AtomI::Rho(r) => {
-                    out.insert(r);
-                }
-                AtomI::Eps(e) => {
-                    out.extend(self.eps_closure(e).iter().filter_map(|a| match a {
-                        AtomI::Rho(r) => Some(*r),
-                        AtomI::Eps(_) => None,
-                    }));
-                }
-            }
-        }
-        out
+        out.extend(self.latent[root.0 as usize].iter().map(|a| self.canon(a)));
     }
 
     /// The transitive atom closure (regions and effect variables).
     pub fn atom_closure(&self, s: &BTreeSet<AtomI>) -> BTreeSet<AtomI> {
-        self.refresh_memos();
         let mut out = BTreeSet::new();
         for a in s {
             match self.canon(*a) {
                 AtomI::Rho(r) => {
                     out.insert(AtomI::Rho(r));
                 }
-                AtomI::Eps(e) => {
-                    out.extend(self.eps_closure(e).iter().copied());
-                }
+                AtomI::Eps(e) => self.eps_closure(e, &mut out),
             }
         }
         out
@@ -501,12 +372,12 @@ impl Store {
 
     /// The fully expanded core effect of an eps's latent set.
     pub fn core_effect_of_eps(&mut self, e: EpsId) -> Effect {
-        self.refresh_memos();
         let root = self.find_eps(e);
-        let atoms = self.eps_closure(root);
+        let mut atoms = BTreeSet::new();
+        self.eps_closure(root, &mut atoms);
         let mut out = Effect::new();
-        for a in atoms.iter() {
-            match *a {
+        for a in atoms {
+            match a {
                 AtomI::Rho(r) => {
                     out.insert(Atom::Reg(self.core_rho(r)));
                 }
@@ -514,23 +385,6 @@ impl Store {
                     if self.find_eps(ep) != root {
                         out.insert(Atom::Eff(self.core_eps(ep)));
                     }
-                }
-            }
-        }
-        out
-    }
-
-    /// Converts an atom set to a fully expanded core effect.
-    pub fn core_effect(&mut self, s: &BTreeSet<AtomI>) -> Effect {
-        let atoms = self.atom_closure(s);
-        let mut out = Effect::new();
-        for a in atoms {
-            match a {
-                AtomI::Rho(r) => {
-                    out.insert(Atom::Reg(self.core_rho(r)));
-                }
-                AtomI::Eps(e) => {
-                    out.insert(Atom::Eff(self.core_eps(e)));
                 }
             }
         }
@@ -602,18 +456,6 @@ mod tests {
         st.union_eps(e1, e2); // now ε1's latent would contain itself
         let l = st.latent_of(e1);
         assert!(!l.contains(&AtomI::Eps(st.find_eps(e1))));
-    }
-
-    #[test]
-    fn region_closure_expands_eps() {
-        let mut st = Store::new();
-        let e = st.fresh_eps();
-        let r = st.fresh_rho();
-        st.add_atom(e, AtomI::Rho(r));
-        let mut s = BTreeSet::new();
-        s.insert(AtomI::Eps(e));
-        let rc = st.region_closure(&s);
-        assert!(rc.contains(&st.find_rho(r)));
     }
 
     #[test]
@@ -701,67 +543,9 @@ mod tests {
     }
 
     #[test]
-    fn memo_invalidation_on_mutation() {
-        let mut st = Store::new();
-        let e = st.fresh_eps();
-        let r1 = st.fresh_rho();
-        st.add_atom(e, AtomI::Rho(r1));
-        let before = st.latent_of(e);
-        assert!(before.contains(&AtomI::Rho(r1)));
-        // Repeat query is a cache hit with an identical set.
-        let hits0 = st.stats().closure_cache_hits;
-        let again = st.latent_of(e);
-        assert_eq!(before, again);
-        assert!(st.stats().closure_cache_hits > hits0);
-        // A mutation invalidates: the next query sees the new atom.
-        let r2 = st.fresh_rho();
-        st.add_atom(e, AtomI::Rho(r2));
-        let after = st.latent_of(e);
-        assert!(after.contains(&AtomI::Rho(r2)));
-        // The caller's old snapshot is untouched.
-        assert!(!before.contains(&AtomI::Rho(r2)));
-    }
-
-    #[test]
-    fn unrelated_mutation_keeps_memos_warm() {
-        let mut st = Store::new();
-        let e1 = st.fresh_eps();
-        let e2 = st.fresh_eps();
-        let r1 = st.fresh_rho();
-        let r2 = st.fresh_rho();
-        st.add_atom(e1, AtomI::Rho(r1));
-        let _ = st.latent_of(e1);
-        let hits0 = st.stats().closure_cache_hits;
-        // Growing ε2 must not evict ε1's memo entry.
-        st.add_atom(e2, AtomI::Rho(r2));
-        let _ = st.latent_of(e1);
-        assert_eq!(st.stats().closure_cache_hits, hits0 + 1);
-        // ε2's own entry is dirty and recomputes.
-        let rec0 = st.stats().closure_recomputes;
-        assert!(st.latent_of(e2).contains(&AtomI::Rho(r2)));
-        assert_eq!(st.stats().closure_recomputes, rec0 + 1);
-    }
-
-    #[test]
-    fn union_flushes_all_memos() {
-        let mut st = Store::new();
-        let e1 = st.fresh_eps();
-        let e2 = st.fresh_eps();
-        let e3 = st.fresh_eps();
-        let r = st.fresh_rho();
-        st.add_atom(e1, AtomI::Rho(r));
-        let _ = st.latent_of(e1);
-        let rec0 = st.stats().closure_recomputes;
-        // Even an unrelated union changes canonical representatives, so
-        // every memoised canonicalised set is conservatively dropped.
-        st.union_eps(e2, e3);
-        let _ = st.latent_of(e1);
-        assert_eq!(st.stats().closure_recomputes, rec0 + 1);
-    }
-
-    #[test]
     fn dirty_marking_reaches_containers() {
-        // c ∋ e; memoise both; grow e — the memoised c must not go stale.
+        // c ∋ e; read both; grow e — a later read of c must see the growth
+        // (the container's latent set is updated eagerly, not on query).
         let mut st = Store::new();
         let c = st.fresh_eps();
         let e = st.fresh_eps();
@@ -771,20 +555,6 @@ mod tests {
         st.add_atom(e, AtomI::Rho(r));
         assert!(st.latent_of(e).contains(&AtomI::Rho(r)));
         assert!(st.latent_of(c).contains(&AtomI::Rho(r)));
-    }
-
-    #[test]
-    fn equal_result_sets_are_pointer_shared() {
-        let mut st = Store::new();
-        let e1 = st.fresh_eps();
-        let e2 = st.fresh_eps();
-        let r = st.fresh_rho();
-        st.add_atom(e1, AtomI::Rho(r));
-        st.add_atom(e2, AtomI::Rho(r));
-        let a = st.latent_of(e1);
-        let b = st.latent_of(e2);
-        assert!(Rc::ptr_eq(&a, &b));
-        assert!(st.stats().intern_hits >= 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `rml-session` — shared compiler-session services.
 //!
 //! The crates of the pipeline (lexer → parser → HM typing → region
-//! inference → checking → benchmarks) all speak three common languages
+//! inference → checking → benchmarks) all speak two common languages
 //! defined here:
 //!
 //! * **spans** ([`Span`], [`SourceMap`]) — byte ranges into the source,
@@ -10,9 +10,7 @@
 //! * **diagnostics** ([`Diagnostic`], [`Severity`], [`Label`]) — every
 //!   error path produces a structured diagnostic with a stable code and a
 //!   primary span, rendered with a caret underline by
-//!   [`Diagnostic::render`];
-//! * **interners** ([`Interner`]) — hash-consed shared values, used by the
-//!   region-inference store for latent/closure sets.
+//!   [`Diagnostic::render`].
 //!
 //! A [`Session`] bundles a program's source map with the diagnostic sink
 //! and is constructed once per compilation by the root facade.
@@ -23,13 +21,11 @@
 //! events, counters; zero-cost when no sink is installed).
 
 mod diag;
-mod intern;
 pub mod json;
 mod span;
 pub mod trace;
 
 pub use diag::{Diagnostic, Label, Severity};
-pub use intern::Interner;
 pub use json::Json;
 pub use span::{SourceMap, Span};
 

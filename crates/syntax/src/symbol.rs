@@ -26,15 +26,15 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
-struct Interner {
+struct SymbolTable {
     map: HashMap<&'static str, u32>,
     strings: Vec<&'static str>,
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
+fn interner() -> &'static Mutex<SymbolTable> {
+    static INTERNER: OnceLock<Mutex<SymbolTable>> = OnceLock::new();
     INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
+        Mutex::new(SymbolTable {
             map: HashMap::new(),
             strings: Vec::new(),
         })

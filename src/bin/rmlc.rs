@@ -17,6 +17,7 @@
 //!   -e <expr>               compile `fun main () = <expr>` instead of a file
 //!   --torture               run the differential torture oracle: every
 //!                           strategy × every GC schedule, one verdict
+//!                           (the flags that pick one run are rejected)
 //!   --gc-stress=N           force a collection every N machine steps
 //!                           (N ≥ 1)
 //!   --alloc-budget=N        inject OutOfMemory at the Nth allocation
@@ -106,7 +107,7 @@ fn write_profile(recorder: &Option<(Arc<trace::Recorder>, String)>) {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let mut strategy = Strategy::Rg;
+    let mut strategy: Option<Strategy> = None;
     let mut baseline = false;
     let mut use_basis = true;
     let mut print_term = false;
@@ -131,12 +132,12 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--strategy" => {
-                strategy = match args.next().as_deref() {
+                strategy = Some(match args.next().as_deref() {
                     Some("rg") => Strategy::Rg,
                     Some("rg-") => Strategy::RgMinus,
                     Some("r") => Strategy::R,
                     _ => usage(),
-                }
+                })
             }
             "--baseline" => baseline = true,
             "--no-basis" => use_basis = false,
@@ -204,6 +205,21 @@ fn main() {
         if ir_path.is_some() {
             usage()
         }
+        // It also picks every strategy, machine and GC schedule itself, so
+        // a flag that would pick one of them is an error, not ignored.
+        let run_flags = [
+            ("--strategy", strategy.is_some()),
+            ("--baseline", baseline),
+            ("--gc-stress", gc_stress.is_some()),
+            ("--alloc-budget", alloc_budget.is_some()),
+            ("--depth-limit", depth_limit.is_some()),
+        ];
+        if let Some((flag, _)) = run_flags.iter().find(|(_, given)| *given) {
+            eprintln!(
+                "rmlc: {flag} cannot be combined with --torture, which runs every configuration"
+            );
+            std::process::exit(2)
+        }
         let (src, name) = if let Some(g) = generated.clone() {
             g
         } else {
@@ -244,6 +260,7 @@ fn main() {
             }
         }
     }
+    let strategy = strategy.unwrap_or(Strategy::Rg);
     let (compiled, src_name) = if let Some(p) = ir_path {
         if file.is_some() || expr.is_some() {
             usage()

@@ -104,16 +104,6 @@ impl MetricsSnapshot {
                 Json::obj([
                     ("find_ops", Json::UInt(self.store.find_ops)),
                     ("unions", Json::UInt(self.store.unions)),
-                    (
-                        "closure_cache_hits",
-                        Json::UInt(self.store.closure_cache_hits),
-                    ),
-                    (
-                        "closure_recomputes",
-                        Json::UInt(self.store.closure_recomputes),
-                    ),
-                    ("intern_hits", Json::UInt(self.store.intern_hits)),
-                    ("intern_misses", Json::UInt(self.store.intern_misses)),
                 ]),
             ),
             (
@@ -157,11 +147,8 @@ impl MetricsSnapshot {
             t.parse, t.types, t.regions, t.repr, t.total
         ));
         out.push_str(&format!(
-            "store:   find_ops {}  unions {}  closure hits/recomputes {}/{}\n",
-            self.store.find_ops,
-            self.store.unions,
-            self.store.closure_cache_hits,
-            self.store.closure_recomputes
+            "store:   find_ops {}  unions {}\n",
+            self.store.find_ops, self.store.unions
         ));
         out.push_str(&format!(
             "machine: {} steps  {} objects  {} bytes allocated  peak rss {} bytes\n",

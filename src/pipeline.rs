@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Process-wide count of completed compilations (any strategy). The
-/// benchmark harness uses deltas of this counter to assert its
-/// compilation cache actually shares work.
+/// benchmark harness's tests use deltas of this counter to assert that
+/// a Figure 9 row compiles each (program, strategy) pair exactly once.
 static COMPILES: AtomicU64 = AtomicU64::new(0);
 
 /// The number of compilations performed by this process so far.

@@ -51,6 +51,43 @@ fn removed_seed_flag_is_a_usage_error() {
 }
 
 #[test]
+fn torture_rejects_flags_that_pick_one_run() {
+    for flag in [
+        &["--strategy", "rg-"][..],
+        &["--baseline"],
+        &["--gc-stress=7"],
+        &["--alloc-budget=100"],
+        &["--depth-limit=50"],
+    ] {
+        let out = rmlc()
+            .args(["--torture", "--no-basis"])
+            .args(flag)
+            .args(["-e", "1 + 2"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {:?}", out.status);
+        let err = String::from_utf8_lossy(&out.stderr);
+        let name = flag[0].split('=').next().unwrap();
+        assert!(
+            err.contains(name),
+            "{flag:?}: diagnostic must cite {name}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{flag:?}: nothing may run");
+    }
+}
+
+#[test]
+fn torture_without_run_flags_still_passes() {
+    let out = rmlc()
+        .args(["--torture", "--no-basis", "-e", "1+2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("verdict: PASS"), "stdout: {stdout}");
+}
+
+#[test]
 fn good_numeric_flags_still_parse() {
     let out = rmlc()
         .args(["--gc-stress=100", "-e", "1 + 2"])
